@@ -19,9 +19,12 @@ string instead of poisoning the rest.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -367,6 +370,28 @@ def _run_cell(payload) -> SweepCell:
         return SweepCell(scheme, learner, n_users, seed, None, error=traceback.format_exc(limit=3))
 
 
+# BLAS thread-count variables that sweep workers default to 1
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@contextmanager
+def _single_blas_thread_env():
+    """Processes started inside the block run one BLAS thread each,
+    unless the user already set either variable, in which case both are
+    left alone; the environment is restored on exit. Workers that each
+    ran BLAS at the machine's full thread count would oversubscribe the
+    cores the pool already fills."""
+    user_set = any(name in os.environ for name in _BLAS_THREAD_VARS)
+    added = [] if user_set else list(_BLAS_THREAD_VARS)
+    for name in added:
+        os.environ[name] = "1"
+    try:
+        yield
+    finally:
+        for name in added:
+            os.environ.pop(name, None)
+
+
 def run_sweep(
     config: ScenarioConfig,
     user_counts,
@@ -382,7 +407,10 @@ def run_sweep(
     per_count, if given, maps a user count to extra config overrides
     (e.g. traffic rates or network capacity that should scale with the
     sweep variable). Overrides are materialized up front so payloads
-    stay picklable."""
+    stay picklable. Workers are spawned, not forked, so each loads BLAS
+    afresh with the single-thread setting; as with any spawned pool, a
+    script that calls this with workers > 1 must do so under an
+    ``if __name__ == "__main__":`` guard."""
     payloads = [
         (scheme, learner, int(n), int(seed), config, dict(per_count(int(n))) if per_count else {})
         for scheme in schemes
@@ -392,5 +420,7 @@ def run_sweep(
     ]
     if workers <= 1 or len(payloads) <= 1:
         return [_run_cell(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with _single_blas_thread_env(), ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
         return list(pool.map(_run_cell, payloads))

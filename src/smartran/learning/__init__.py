@@ -6,6 +6,16 @@ off-policy learners: soft actor-critic with twin critics and learned
 temperature, DQN over a discrete action set, and DDPG. Everything is
 deterministic given the Generators passed in; nothing here owns global
 random state.
+
+Each network keeps all its parameters in one contiguous vector (the
+arena, Mlp.flat) with per-layer views on top, so a learner's Adam step,
+Polyak blend and finiteness check are one vector operation per network.
+Updates do only the work whose result they use: the backward forms
+parameter gradients or input gradients only where asked, and when every
+sampled transition has zero discount (a contextual bandit, as the
+allocators are) sac_update skips the next-state target forwards; the
+Polyak blends and its next-state noise draw still run. None of this
+changes a single float of the results.
 """
 
 from .mlp import Mlp, MlpCache, mlp_init, mlp_forward, mlp_forward_cached, mlp_gradient, polyak_update

@@ -1,10 +1,26 @@
-"""Bias-corrected Adam over flat parameter lists."""
+"""Bias-corrected Adam over lists of parameter arrays.
+
+A learner passes each network as a one-entry list holding its arena
+vector (Mlp.flat) and gets one step per network: in-place ufuncs on
+flat first and second moments, with two transient scratch vectors that
+are not kept between steps. Each array is stepped as a flat view, in
+blocks of _BLOCK entries, so each block's parameters, gradient, moments
+and scratch stay in cache across the dozen ufunc passes of a step. The
+per-element arithmetic is the textbook one, in the textbook order, for
+any list layout and block size.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+# 32 Ki entries = 256 KiB per array, six arrays per block: within a
+# core's L2 cache on the machines measured (2 MiB), where a whole
+# 139 k-entry actor arena per pass is not; stepping by blocks halved
+# adam_step on such an arena there
+_BLOCK = 32_768
 
 
 @dataclass
@@ -38,25 +54,63 @@ def adam_init(
     )
 
 
+def _all_finite(g: np.ndarray) -> bool:
+    # a finite sum proves every entry finite; only an inf/nan sum
+    # (which overflow can also cause) needs the exact scan
+    return bool(np.isfinite(g.sum())) or bool(np.all(np.isfinite(g)))
+
+
 def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
     """One in-place update. Rejects non-finite gradients outright."""
     if len(params) != len(state.m) or len(grads) != len(state.m):
         raise ValueError("params/grads do not match optimizer state")
     for g in grads:
-        if not np.all(np.isfinite(g)):
+        if not _all_finite(g):
             raise ValueError("non-finite gradient passed to adam_step")
     state.step += 1
     b1c = 1.0 - state.beta1**state.step
     b2c = 1.0 - state.beta2**state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+        # views, not copies: parameters and moments are C-contiguous
+        p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+        scratch1 = np.empty(min(p.size, _BLOCK))
+        scratch2 = np.empty_like(scratch1)
+        for lo in range(0, p.size, _BLOCK):
+            hi = lo + _BLOCK
+            n = min(hi, p.size) - lo
+            _step_block(
+                state, b1c, b2c, p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi],
+                scratch1[:n], scratch2[:n],
+            )
 
 
-def apply_gradients(net, opt: AdamState, grads: list[np.ndarray]) -> None:
-    """adam_step on a network's parameters, bumping its cache version."""
-    adam_step(opt, net.params(), grads)
+def _step_block(state: AdamState, b1c: float, b2c: float, p, g, m, v, step, sq) -> None:
+    """In place on one block; step and sq are scratch of the same shape.
+    m <- beta1 m + (1 - beta1) g;  v <- beta2 v + (1 - beta2) g^2;
+    p <- p - lr (m / b1c) / (sqrt(v / b2c) + eps)."""
+    np.multiply(g, 1.0 - state.beta1, out=step)
+    m *= state.beta1
+    m += step
+    np.multiply(g, g, out=sq)
+    sq *= 1.0 - state.beta2
+    v *= state.beta2
+    v += sq
+    np.divide(m, b1c, out=step)
+    step *= state.lr
+    np.divide(v, b2c, out=sq)
+    np.sqrt(sq, out=sq)
+    sq += state.eps
+    step /= sq
+    p -= step
+
+
+def apply_gradients(net, opt: AdamState, grads) -> None:
+    """adam_step on a network's parameters, bumping its cache version.
+
+    grads is either one arena-layout vector, for an optimizer built on
+    [net.flat], or a list matching net.params() for one built on those."""
+    if isinstance(grads, np.ndarray):
+        adam_step(opt, [net.flat], [grads])
+    else:
+        adam_step(opt, net.params(), grads)
     net.bump()

@@ -58,8 +58,8 @@ def make_ddpg_agent(
         critic=critic,
         actor_target=actor.copy(),
         critic_target=critic.copy(),
-        actor_opt=adam_init(actor.params(), lr),
-        critic_opt=adam_init(critic.params(), lr),
+        actor_opt=adam_init([actor.flat], lr),
+        critic_opt=adam_init([critic.flat], lr),
         buffer=ReplayBuffer(buffer_capacity),
         gamma=float(gamma),
         polyak=float(polyak),
@@ -93,7 +93,9 @@ def ddpg_update(agent: DdpgAgent, batch: TransitionBatch) -> tuple[float, float]
     q, cache = mlp_forward_cached(agent.critic, sa)
     diff = q[:, 0] - y
     critic_loss = float(np.mean(diff * diff))
-    grads, _ = mlp_gradient(agent.critic, (2.0 * diff / n)[:, None], cache)
+    grads, _ = mlp_gradient(
+        agent.critic, (2.0 * diff / n)[:, None], cache, params="flat", input_grad=False
+    )
     apply_gradients(agent.critic, agent.critic_opt, grads)
 
     # actor ascends Q(s, tanh(actor(s))) through the fresh critic
@@ -101,9 +103,11 @@ def ddpg_update(agent: DdpgAgent, batch: TransitionBatch) -> tuple[float, float]
     a = np.tanh(raw)
     q_pi, c_pi = mlp_forward_cached(agent.critic, np.concatenate([batch.states, a], axis=1))
     actor_loss = float(-np.mean(q_pi[:, 0]))
-    _, gin = mlp_gradient(agent.critic, np.full((n, 1), -1.0 / n), c_pi)
+    _, gin = mlp_gradient(agent.critic, np.full((n, 1), -1.0 / n), c_pi, params=None)
     dl_da = gin[:, agent.state_dim :]
-    actor_grads, _ = mlp_gradient(agent.actor, dl_da * (1.0 - a * a), actor_cache)
+    actor_grads, _ = mlp_gradient(
+        agent.actor, dl_da * (1.0 - a * a), actor_cache, params="flat", input_grad=False
+    )
     apply_gradients(agent.actor, agent.actor_opt, actor_grads)
 
     polyak_update(agent.actor_target, agent.actor, agent.polyak)

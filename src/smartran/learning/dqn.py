@@ -55,7 +55,7 @@ def make_dqn_agent(
         n_actions=n_actions,
         qnet=qnet,
         target=qnet.copy(),
-        opt=adam_init(qnet.params(), lr),
+        opt=adam_init([qnet.flat], lr),
         buffer=ReplayBuffer(buffer_capacity),
         gamma=float(gamma),
         polyak=float(polyak),
@@ -89,7 +89,7 @@ def dqn_update(agent: DqnAgent, batch: TransitionBatch) -> float:
     loss = float(np.mean(diff * diff))
     upstream = np.zeros_like(q_all)
     upstream[np.arange(n), taken] = 2.0 * diff / n
-    grads, _ = mlp_gradient(agent.qnet, upstream, cache)
+    grads, _ = mlp_gradient(agent.qnet, upstream, cache, params="flat", input_grad=False)
     apply_gradients(agent.qnet, agent.opt, grads)
     polyak_update(agent.target, agent.qnet, agent.polyak)
     if not np.isfinite(loss):

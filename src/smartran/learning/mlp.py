@@ -1,14 +1,23 @@
-"""Dense networks with hand-written backprop.
+"""Dense networks with hand-written backprop over a flat parameter arena.
 
 A network is a list of (weight, bias) pairs applied as
 z_i = a_i @ W_i.T + b_i with the configured nonlinearity between layers
 and an identity output layer. All math is float64.
 
+Every parameter lives in one contiguous float64 vector, Mlp.flat, laid
+out as [W0 (row-major), b0, W1, b1, ...]; weights[i] and biases[i] are
+views into it. Parameter gradients use the same layout, so Adam,
+Polyak blends and snapshots touch one vector per network.
+
 mlp_gradient consumes the cache produced by mlp_forward_cached and an
-upstream gradient dL/dy, returning both the parameter gradients (in the
-same flat order as Mlp.params()) and dL/dx. Caches are stamped with the
-network's version counter; any in-place parameter update bumps the
-counter, so a stale cache cannot silently produce wrong gradients.
+upstream gradient dL/dy. By default it returns both the parameter
+gradients (in the same flat order as Mlp.params()) and dL/dx. Keyword
+arguments ask for only what a caller uses: the parameter gradients as
+one arena vector or not at all, and dL/dx or not (skipping the layer-0
+input product). Hidden-layer derivatives reuse the activations the
+forward cached. Caches are stamped with the network's version counter;
+any in-place parameter update bumps the counter, so a stale cache
+cannot silently produce wrong gradients.
 """
 
 from __future__ import annotations
@@ -20,13 +29,35 @@ import numpy as np
 _ACTIVATIONS = ("tanh", "relu")
 
 
+def _layer_views(sizes: tuple[int, ...], flat: np.ndarray):
+    """Shaped (weights, biases) views of an arena-layout vector."""
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        end = offset + fan_out * fan_in
+        weights.append(flat[offset:end].reshape(fan_out, fan_in))
+        biases.append(flat[end : end + fan_out])
+        offset = end + fan_out
+    return weights, biases
+
+
+def arena_size(sizes) -> int:
+    """Number of parameters of a network with these layer sizes."""
+    return sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:]))
+
+
 @dataclass
 class Mlp:
     layer_sizes: tuple[int, ...]
-    weights: list[np.ndarray]  # weights[i]: (layer_sizes[i+1], layer_sizes[i])
-    biases: list[np.ndarray]  # biases[i]: (layer_sizes[i+1],)
+    flat: np.ndarray  # every parameter, arena layout [W0, b0, W1, b1, ...]
     activation: str = "tanh"
     version: int = 0
+    weights: list[np.ndarray] = field(init=False, repr=False)  # views: (sizes[i+1], sizes[i])
+    biases: list[np.ndarray] = field(init=False, repr=False)  # views: (sizes[i+1],)
+
+    def __post_init__(self) -> None:
+        if self.flat.shape != (arena_size(self.layer_sizes),) or self.flat.dtype != np.float64:
+            raise ValueError("flat does not match the layer sizes")
+        self.weights, self.biases = _layer_views(self.layer_sizes, self.flat)
 
     @property
     def n_layers(self) -> int:
@@ -52,13 +83,7 @@ class Mlp:
         self.version += 1
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            layer_sizes=self.layer_sizes,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            activation=self.activation,
-            version=0,
-        )
+        return Mlp(layer_sizes=self.layer_sizes, flat=self.flat.copy(), activation=self.activation)
 
 
 def mlp_init(
@@ -74,14 +99,13 @@ def mlp_init(
         raise ValueError("layer_sizes needs >= 2 positive entries")
     if activation not in _ACTIVATIONS:
         raise ValueError(f"activation must be one of {_ACTIVATIONS}")
-    weights, biases = [], []
+    net = Mlp(layer_sizes=sizes, flat=np.zeros(arena_size(sizes)), activation=activation)
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         if i == len(sizes) - 2:
             limit *= final_scale
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(layer_sizes=sizes, weights=weights, biases=biases, activation=activation)
+        net.weights[i][...] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+    return net
 
 
 @dataclass
@@ -100,6 +124,7 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
 
 
 def _act_deriv(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Derivative of the activation at z, given a = act(z)."""
     if name == "tanh":
         return 1.0 - a * a
     return (z > 0.0).astype(np.float64)
@@ -147,17 +172,32 @@ def mlp_forward_cached(net: Mlp, x) -> tuple[np.ndarray, MlpCache]:
     return (a[0] if squeezed else a), cache
 
 
-def mlp_gradient(net: Mlp, grad_output, cache: MlpCache) -> tuple[list[np.ndarray], np.ndarray]:
+def mlp_gradient(
+    net: Mlp,
+    grad_output,
+    cache: MlpCache,
+    *,
+    params: str | None = "layers",
+    input_grad: bool = True,
+):
     """Backward pass.
 
     grad_output is dL/dy for the forward that produced `cache` (summed,
     not averaged, over the batch: fold any 1/n into it). Returns
-    (parameter gradients matching net.params(), dL/dx).
+    (parameter gradients, dL/dx).
+
+    params="layers" gives a list matching net.params(); "flat" gives one
+    vector in the arena layout of net.flat; None computes no parameter
+    gradients and returns None in their place. input_grad=False skips
+    dL/dx, and the layer-0 product behind it, and returns None in its
+    place.
     """
     if cache.version != net.version:
         raise ValueError(
             f"stale cache: built at version {cache.version}, network now {net.version}"
         )
+    if params not in ("layers", "flat", None):
+        raise ValueError("params must be 'layers', 'flat' or None")
     g = np.asarray(grad_output, dtype=np.float64)
     if cache.squeezed and g.ndim == 1:
         g = g[None, :]
@@ -165,28 +205,38 @@ def mlp_gradient(net: Mlp, grad_output, cache: MlpCache) -> tuple[list[np.ndarra
         raise ValueError(
             f"grad_output shape {np.asarray(grad_output).shape} does not match output"
         )
-    grads: list[np.ndarray] = [np.empty(0)] * (2 * net.n_layers)
+    if params is not None:
+        gflat = np.empty_like(net.flat)
+        gweights, gbiases = _layer_views(net.layer_sizes, gflat)
     delta = g
+    grad_input = None
     for i in range(net.n_layers - 1, -1, -1):
-        grads[2 * i] = delta.T @ cache.inputs[i]
-        grads[2 * i + 1] = delta.sum(axis=0)
-        delta = delta @ net.weights[i]
+        if params is not None:
+            np.matmul(delta.T, cache.inputs[i], out=gweights[i])
+            np.sum(delta, axis=0, out=gbiases[i])
         if i > 0:
-            z = cache.preacts[i - 1]
-            a = _act(net.activation, z)
-            delta = delta * _act_deriv(net.activation, z, a)
-    grad_input = delta[0] if cache.squeezed else delta
-    return grads, grad_input
+            # cache.inputs[i] = act(z_{i-1}) already
+            delta = delta @ net.weights[i]
+            delta = delta * _act_deriv(net.activation, cache.preacts[i - 1], cache.inputs[i])
+        elif input_grad:
+            grad_input = delta @ net.weights[0]
+            if cache.squeezed:
+                grad_input = grad_input[0]
+    if params == "flat":
+        return gflat, grad_input
+    if params == "layers":
+        return [x for pair in zip(gweights, gbiases) for x in pair], grad_input
+    return None, grad_input
 
 
 def polyak_update(target: Mlp, online: Mlp, rho: float) -> None:
     """Blend the online net into the target in place:
-    target <- rho * online + (1 - rho) * target. rho = 1 copies."""
+    target <- rho * online + (1 - rho) * target, as one vector blend
+    over the arenas. rho = 1 copies."""
     if not (0.0 <= rho <= 1.0):
         raise ValueError("rho must be in [0, 1]")
     if target.layer_sizes != online.layer_sizes:
         raise ValueError("mismatched architectures")
-    for tp, op in zip(target.params(), online.params()):
-        tp *= 1.0 - rho
-        tp += rho * op
+    target.flat *= 1.0 - rho
+    target.flat += rho * online.flat
     target.bump()

@@ -20,7 +20,15 @@ and the gradients used below, holding eps fixed (reparameterization):
 The actor loss mean(alpha * log pi - min_i Q_i(s, a)) backpropagates
 through the minimum by routing each sample's Q-gradient through
 whichever critic attains it, using the critics' input gradients with
-respect to the action slice (their parameters are not updated there).
+respect to the action slice (their parameters are not updated there,
+so no parameter gradients are formed).
+
+Bandit skip: when gamma * (1 - done) is zero for every sampled row, as
+for the allocators (zero discount, terminal transitions), the critic
+target is the reward alone. sac_update then skips the next-state actor
+pass and both target-critic forwards, but still draws the next-state
+noise so the caller's Generator advances exactly as on the full path.
+The Polyak blends of the targets run either way.
 """
 
 from __future__ import annotations
@@ -110,9 +118,9 @@ def make_sac_agent(
         target_entropy=float(-action_dim if target_entropy is None else target_entropy),
         gamma=float(gamma),
         polyak=float(polyak),
-        actor_opt=adam_init(actor.params(), lr),
-        critic1_opt=adam_init(critic1.params(), lr),
-        critic2_opt=adam_init(critic2.params(), lr),
+        actor_opt=adam_init([actor.flat], lr),
+        critic1_opt=adam_init([critic1.flat], lr),
+        critic2_opt=adam_init([critic2.flat], lr),
         alpha_opt=adam_init([log_alpha], lr),
         buffer=ReplayBuffer(buffer_capacity),
     )
@@ -166,15 +174,18 @@ def sac_update(agent: SacAgent, batch: TransitionBatch, rng: np.random.Generator
     alpha = agent.alpha
 
     # --- critic targets from the squashed policy at the next state
-    mu2, log_std2, _, _ = _policy_stats(agent, batch.next_states)
-    eps2 = rng.standard_normal(mu2.shape)
-    a2, logp2, _ = _squash(mu2, log_std2, eps2)
-    sa2 = np.concatenate([batch.next_states, a2], axis=1)
-    q1t = mlp_forward(agent.target1, sa2)[:, 0]
-    q2t = mlp_forward(agent.target2, sa2)[:, 0]
-    y = batch.rewards + agent.gamma * (1.0 - batch.dones) * (
-        np.minimum(q1t, q2t) - alpha * logp2
-    )
+    discount = agent.gamma * (1.0 - batch.dones)
+    if np.any(discount):
+        mu2, log_std2, _, _ = _policy_stats(agent, batch.next_states)
+        eps2 = rng.standard_normal(mu2.shape)
+        a2, logp2, _ = _squash(mu2, log_std2, eps2)
+        sa2 = np.concatenate([batch.next_states, a2], axis=1)
+        q1t = mlp_forward(agent.target1, sa2)[:, 0]
+        q2t = mlp_forward(agent.target2, sa2)[:, 0]
+        y = batch.rewards + discount * (np.minimum(q1t, q2t) - alpha * logp2)
+    else:  # bandit: the target is the reward; keep the noise draw
+        rng.standard_normal((n, agent.action_dim))
+        y = batch.rewards
 
     # --- twin critic regression
     sa = np.concatenate([batch.states, batch.actions], axis=1)
@@ -183,7 +194,9 @@ def sac_update(agent: SacAgent, batch: TransitionBatch, rng: np.random.Generator
         q, cache = mlp_forward_cached(critic, sa)
         diff = q[:, 0] - y
         losses.append(float(np.mean(diff * diff)))
-        grads, _ = mlp_gradient(critic, (2.0 * diff / n)[:, None], cache)
+        grads, _ = mlp_gradient(
+            critic, (2.0 * diff / n)[:, None], cache, params="flat", input_grad=False
+        )
         apply_gradients(critic, opt, grads)
 
     # --- actor: fresh reparameterized sample through the updated critics
@@ -197,8 +210,8 @@ def sac_update(agent: SacAgent, batch: TransitionBatch, rng: np.random.Generator
     actor_loss = float(np.mean(alpha * logp - qmin))
 
     take1 = (q1[:, 0] <= q2[:, 0]).astype(np.float64)[:, None]
-    _, gin1 = mlp_gradient(agent.critic1, -take1 / n, c1)
-    _, gin2 = mlp_gradient(agent.critic2, -(1.0 - take1) / n, c2)
+    _, gin1 = mlp_gradient(agent.critic1, -take1 / n, c1, params=None)
+    _, gin2 = mlp_gradient(agent.critic2, -(1.0 - take1) / n, c2, params=None)
     dl_da = (gin1 + gin2)[:, agent.state_dim :]  # dL/da, already averaged
 
     one_minus_a2 = 1.0 - a * a
@@ -207,7 +220,9 @@ def sac_update(agent: SacAgent, batch: TransitionBatch, rng: np.random.Generator
     g_mu = g_u
     g_log_std = (-alpha / n) + g_u * sigma * eps
     upstream = np.concatenate([g_mu, g_log_std * active], axis=1)
-    actor_grads, _ = mlp_gradient(agent.actor, upstream, actor_cache)
+    actor_grads, _ = mlp_gradient(
+        agent.actor, upstream, actor_cache, params="flat", input_grad=False
+    )
     apply_gradients(agent.actor, agent.actor_opt, actor_grads)
 
     # --- temperature toward the entropy target (logp is already detached)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .ddpg import DdpgAgent
 from .dqn import DqnAgent
-from .mlp import Mlp
+from .mlp import Mlp, arena_size
 from .sac import SacAgent
 
 
@@ -29,15 +29,15 @@ def mlp_to_dict(net: Mlp) -> dict:
 
 def mlp_from_dict(d: dict) -> Mlp:
     sizes = tuple(int(s) for s in d["layer_sizes"])
-    weights, biases = [], []
+    net = Mlp(layer_sizes=sizes, flat=np.zeros(arena_size(sizes)), activation=d["activation"])
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         w = np.array(d["weights"][i], dtype=np.float64).reshape(fan_out, fan_in)
         b = np.array(d["biases"][i], dtype=np.float64)
         if b.shape != (fan_out,):
             raise ValueError("bias length does not match the layer header")
-        weights.append(w)
-        biases.append(b)
-    return Mlp(layer_sizes=sizes, weights=weights, biases=biases, activation=d["activation"])
+        net.weights[i][...] = w
+        net.biases[i][...] = b
+    return net
 
 
 def _agent_nets(agent) -> dict[str, Mlp]:
@@ -83,8 +83,7 @@ def load_agent(path: str, agent) -> None:
         loaded = mlp_from_dict(payload["nets"][name])
         if loaded.layer_sizes != net.layer_sizes:
             raise ValueError(f"{name}: snapshot sizes {loaded.layer_sizes} != {net.layer_sizes}")
-        net.weights = loaded.weights
-        net.biases = loaded.biases
+        net.flat[...] = loaded.flat
         net.bump()
     if isinstance(agent, SacAgent):
         agent.log_alpha[0] = float(payload["log_alpha"])

@@ -163,3 +163,202 @@ def fd_gradients(loss_fn, params, eps: float = 1e-6):
             flat_g[i] = (hi - lo) / (2.0 * eps)
         grads.append(g)
     return grads
+
+
+# ---------------------------------------------------------------------------
+# The learning core as it was before the parameter arena: one array per
+# weight and bias, per-layer Adam moments, a backward that always forms
+# every parameter gradient and the full input gradient (recomputing the
+# hidden activations), and a SAC update that always evaluates the
+# next-state policy and both target critics. Bit-for-bit reference for
+# the arena, the one-sided backward and the bandit skip.
+
+SEED_LOG_STD_MIN = -20.0
+SEED_LOG_STD_MAX = 2.0
+SEED_SQUASH_EPS = 1e-6
+SEED_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+
+
+class SeedNet:
+    """Separate weight and bias arrays, copied from any network that
+    exposes weights, biases and activation."""
+
+    def __init__(self, net):
+        self.weights = [np.array(w, dtype=np.float64) for w in net.weights]
+        self.biases = [np.array(b, dtype=np.float64) for b in net.biases]
+        self.activation = net.activation
+
+    def params(self):
+        return [x for pair in zip(self.weights, self.biases) for x in pair]
+
+    def flat(self):
+        return np.concatenate([p.ravel() for p in self.params()])
+
+
+def _seed_act(name, z):
+    return np.tanh(z) if name == "tanh" else np.maximum(z, 0.0)
+
+
+def _seed_act_deriv(name, z, a):
+    if name == "tanh":
+        return 1.0 - a * a
+    return (z > 0.0).astype(np.float64)
+
+
+def seed_forward_cached(net, x):
+    """2-D forward; returns (output, layer inputs, pre-activations)."""
+    a = np.asarray(x, dtype=np.float64)
+    inputs, preacts = [], []
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        inputs.append(a)
+        z = a @ w.T + b
+        preacts.append(z)
+        a = z if i == last else _seed_act(net.activation, z)
+    return a, inputs, preacts
+
+
+def seed_forward(net, x):
+    return seed_forward_cached(net, x)[0]
+
+
+def seed_mlp_gradient(net, grad_output, inputs, preacts):
+    """(parameter gradients [dW0, db0, ...], dL/dx), 2-D in and out."""
+    n_layers = len(net.weights)
+    grads = [np.empty(0)] * (2 * n_layers)
+    delta = np.asarray(grad_output, dtype=np.float64)
+    for i in range(n_layers - 1, -1, -1):
+        grads[2 * i] = delta.T @ inputs[i]
+        grads[2 * i + 1] = delta.sum(axis=0)
+        delta = delta @ net.weights[i]
+        if i > 0:
+            z = preacts[i - 1]
+            a = _seed_act(net.activation, z)
+            delta = delta * _seed_act_deriv(net.activation, z, a)
+    return grads, delta
+
+
+class SeedAdam:
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.step = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+
+def seed_adam_step(state, params, grads):
+    for g in grads:
+        if not np.all(np.isfinite(g)):
+            raise ValueError("non-finite gradient passed to adam_step")
+    state.step += 1
+    b1c = 1.0 - state.beta1**state.step
+    b2c = 1.0 - state.beta2**state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+
+
+def seed_polyak(target, online, rho):
+    for tp, op in zip(target.params(), online.params()):
+        tp *= 1.0 - rho
+        tp += rho * op
+
+
+class SeedSac:
+    """Copy of a SAC agent's networks, temperature and settings, with
+    fresh per-layer optimizer state (as a newly built agent has)."""
+
+    NETS = ("actor", "critic1", "critic2", "target1", "target2")
+
+    def __init__(self, agent, lr):
+        for name in self.NETS:
+            setattr(self, name, SeedNet(getattr(agent, name)))
+        self.log_alpha = np.array(agent.log_alpha, dtype=np.float64)
+        self.state_dim, self.action_dim = agent.state_dim, agent.action_dim
+        self.auto_alpha, self.target_entropy = agent.auto_alpha, agent.target_entropy
+        self.gamma, self.polyak = agent.gamma, agent.polyak
+        self.actor_opt = SeedAdam(self.actor.params(), lr)
+        self.critic1_opt = SeedAdam(self.critic1.params(), lr)
+        self.critic2_opt = SeedAdam(self.critic2.params(), lr)
+        self.alpha_opt = SeedAdam([self.log_alpha], lr)
+
+
+def _seed_policy_stats(agent, states):
+    out, inputs, preacts = seed_forward_cached(agent.actor, states)
+    d = agent.action_dim
+    mu = out[:, :d]
+    raw = out[:, d:]
+    log_std = np.clip(raw, SEED_LOG_STD_MIN, SEED_LOG_STD_MAX)
+    active = ((raw > SEED_LOG_STD_MIN) & (raw < SEED_LOG_STD_MAX)).astype(np.float64)
+    return mu, log_std, active, (inputs, preacts)
+
+
+def _seed_squash(mu, log_std, eps):
+    sigma = np.exp(log_std)
+    u = mu + sigma * eps
+    a = np.tanh(u)
+    logp = (
+        -0.5 * eps * eps - log_std - SEED_HALF_LOG_2PI - np.log(1.0 - a * a + SEED_SQUASH_EPS)
+    ).sum(axis=1)
+    return a, logp, sigma
+
+
+def seed_sac_update(agent, batch, rng):
+    """Returns (critic1, critic2, actor, temperature) losses."""
+    n = batch.states.shape[0]
+    alpha = float(np.exp(agent.log_alpha[0]))
+
+    mu2, log_std2, _, _ = _seed_policy_stats(agent, batch.next_states)
+    eps2 = rng.standard_normal(mu2.shape)
+    a2, logp2, _ = _seed_squash(mu2, log_std2, eps2)
+    sa2 = np.concatenate([batch.next_states, a2], axis=1)
+    q1t = seed_forward(agent.target1, sa2)[:, 0]
+    q2t = seed_forward(agent.target2, sa2)[:, 0]
+    y = batch.rewards + agent.gamma * (1.0 - batch.dones) * (
+        np.minimum(q1t, q2t) - alpha * logp2
+    )
+
+    sa = np.concatenate([batch.states, batch.actions], axis=1)
+    losses = []
+    for critic, opt in ((agent.critic1, agent.critic1_opt), (agent.critic2, agent.critic2_opt)):
+        q, inputs, preacts = seed_forward_cached(critic, sa)
+        diff = q[:, 0] - y
+        losses.append(float(np.mean(diff * diff)))
+        grads, _ = seed_mlp_gradient(critic, (2.0 * diff / n)[:, None], inputs, preacts)
+        seed_adam_step(opt, critic.params(), grads)
+
+    mu, log_std, active, actor_cache = _seed_policy_stats(agent, batch.states)
+    eps = rng.standard_normal(mu.shape)
+    a, logp, sigma = _seed_squash(mu, log_std, eps)
+    sa_pi = np.concatenate([batch.states, a], axis=1)
+    q1, *c1 = seed_forward_cached(agent.critic1, sa_pi)
+    q2, *c2 = seed_forward_cached(agent.critic2, sa_pi)
+    qmin = np.minimum(q1[:, 0], q2[:, 0])
+    actor_loss = float(np.mean(alpha * logp - qmin))
+
+    take1 = (q1[:, 0] <= q2[:, 0]).astype(np.float64)[:, None]
+    _, gin1 = seed_mlp_gradient(agent.critic1, -take1 / n, *c1)
+    _, gin2 = seed_mlp_gradient(agent.critic2, -(1.0 - take1) / n, *c2)
+    dl_da = (gin1 + gin2)[:, agent.state_dim :]
+
+    one_minus_a2 = 1.0 - a * a
+    dlogp_du = 2.0 * a * one_minus_a2 / (one_minus_a2 + SEED_SQUASH_EPS)
+    g_u = (alpha / n) * dlogp_du + dl_da * one_minus_a2
+    g_log_std = (-alpha / n) + g_u * sigma * eps
+    upstream = np.concatenate([g_u, g_log_std * active], axis=1)
+    actor_grads, _ = seed_mlp_gradient(agent.actor, upstream, *actor_cache)
+    seed_adam_step(agent.actor_opt, agent.actor.params(), actor_grads)
+
+    if agent.auto_alpha:
+        gap = float(np.mean(logp) + agent.target_entropy)
+        temp_loss = -float(agent.log_alpha[0]) * gap
+        seed_adam_step(agent.alpha_opt, [agent.log_alpha], [np.array([-gap])])
+    else:
+        temp_loss = 0.0
+
+    seed_polyak(agent.target1, agent.critic1, agent.polyak)
+    seed_polyak(agent.target2, agent.critic2, agent.polyak)
+    return losses[0], losses[1], actor_loss, temp_loss

@@ -1,8 +1,12 @@
 """Episode loop, aggregates, determinism, and sweep plumbing."""
 
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
+from smartran import engine
 from smartran.config import ConfigError, ScenarioConfig
 from smartran.controller import toc_roundtrip_errors
 from smartran.engine import (
@@ -167,3 +171,57 @@ def test_run_sweep_applies_per_count_overrides():
         per_count=lambda n: {"eval_slots": n},
     )
     assert {c.user_count: c.aggregates.slots for c in cells} == {2: 2, 4: 4}
+
+
+def test_run_sweep_smart_cells_match_across_worker_counts():
+    cfg = _cfg(scheme="smart")
+    kwargs = dict(user_counts=(2, 3), schemes=("smart",), seeds=(0,))
+    serial = run_sweep(cfg, workers=1, **kwargs)
+    parallel = run_sweep(cfg, workers=2, **kwargs)
+    assert all(c.error is None for c in serial + parallel)
+    assert [c.aggregates for c in serial] == [c.aggregates for c in parallel]
+
+
+def test_sweep_workers_default_to_one_blas_thread(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    with engine._single_blas_thread_env():
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        assert os.environ["OMP_NUM_THREADS"] == "1"
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert "OMP_NUM_THREADS" not in os.environ
+
+
+def test_sweep_workers_keep_a_user_blas_thread_count(monkeypatch):
+    # OpenBLAS reads OPENBLAS_NUM_THREADS before OMP_NUM_THREADS, so
+    # setting the first would override a user's OMP_NUM_THREADS
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    with engine._single_blas_thread_env():
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+        assert os.environ["OMP_NUM_THREADS"] == "3"
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert os.environ["OMP_NUM_THREADS"] == "3"
+
+
+def _records_sha256(records) -> str:
+    h = hashlib.sha256()
+    for r in records:
+        fields = [
+            str(r.slot), r.r_cnt.hex(), r.r_dst.hex(), str(r.tau_cnt),
+            repr(r.tau_dst_per_rrs), str(r.gamma_cnt), repr(r.gamma_dst_per_rrs),
+            r.toc_cnt.hex(), r.toc_dst.hex(), r.executed.name, repr(r.user_counts),
+        ]
+        h.update((";".join(fields) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_learned_path_records_are_pinned():
+    # a small smart SAC episode whose allocators and SDN agent both train;
+    # the digest was taken from the per-layer learning core this replaced
+    cfg = _cfg(scheme="smart", learner="sac", n_users=2, train_slots=30, eval_slots=10)
+    result = run_episode(cfg)
+    assert {r.executed for r in result.records} == {Mode.CNT, Mode.DST}
+    assert _records_sha256(result.records) == (
+        "2db68192b46ca8e6bd3597f896b01a4af7a036d6492b4f7e4e519643826131e6"
+    )
