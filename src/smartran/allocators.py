@@ -13,8 +13,7 @@ as log10(h / (noise + I)), so the local vector length is exactly
 Capacity padding. Networks are built once per run for a fixed user
 capacity; when fewer users are active the observation is zero-padded at
 the network boundary and the unused action entries are ignored by the
-decoder. AllocObservation.vector always carries the exact active-length
-encoding; .padded is what the network consumes.
+decoder.
 
 Action decoding. For each (site, subcarrier) the assigned user is the
 argmax of the user logits over active rows (ties to the lowest id, i.e.
@@ -37,7 +36,7 @@ from .learning import (
     dqn_select_action,
     sac_select_action,
 )
-from .metrics import Allocation, Mode, equal_share_power
+from .metrics import Allocation, equal_share_power
 from .netmodel import ChannelTensor, Topology, UserSet
 
 _STD_FLOOR = 1e-9
@@ -63,11 +62,9 @@ class AllocScope:
 
 @dataclass
 class AllocObservation:
-    """Observation for one policy: exact-length vector plus its padded
-    network input and the per-site decode scopes."""
+    """Observation for one policy: its padded network input and the
+    per-site decode scopes."""
 
-    mode: Mode
-    vector: np.ndarray  # active length: |U|*|K|*B (cnt) or |U_b|*|K_b| (dst)
     padded: np.ndarray  # network input at capacity
     scopes: list[AllocScope]
 
@@ -100,9 +97,7 @@ def build_centralized_observation(
         )
         for site in range(b)
     ]
-    return AllocObservation(
-        mode=Mode.CNT, vector=logs.ravel(), padded=padded.ravel(), scopes=scopes
-    )
+    return AllocObservation(padded=padded.ravel(), scopes=scopes)
 
 
 def build_distributed_observations(
@@ -128,9 +123,7 @@ def build_distributed_observations(
         padded = np.zeros((cap_users, k))
         padded[: len(rows), :] = logs
         scope = AllocScope(rrs=b, user_rows=rows, n_subcarriers=k, cap_users=cap_users)
-        out.append(
-            AllocObservation(mode=Mode.DST, vector=logs.ravel(), padded=padded.ravel(), scopes=[scope])
-        )
+        out.append(AllocObservation(padded=padded.ravel(), scopes=[scope]))
     return out
 
 
@@ -197,12 +190,8 @@ def _select_raw(
     raise TypeError(f"unsupported allocator agent {type(agent).__name__}")
 
 
-def _blank_allocation(mode: Mode, shape: tuple[int, int, int]) -> Allocation:
-    return Allocation(
-        mode=mode,
-        p=np.zeros(shape),
-        rho=np.zeros(shape, dtype=np.int8),
-    )
+def _blank_allocation(shape: tuple[int, int, int]) -> Allocation:
+    return Allocation(p=np.zeros(shape), rho=np.zeros(shape, dtype=np.int8))
 
 
 def allocate_centralized(
@@ -217,7 +206,7 @@ def allocate_centralized(
     Returns the allocation and the replay-storable action."""
     b = topology.rrs_count
     k = topology.subcarrier_count
-    alloc = _blank_allocation(Mode.CNT, (b, n_users, k))
+    alloc = _blank_allocation((b, n_users, k))
     if n_users == 0:
         return alloc, np.zeros(0)
     raw, stored = _select_raw(agent, obs.padded, rng, deterministic)
@@ -248,7 +237,7 @@ def allocate_distributed(
     k = topology.subcarrier_count
     if not (len(agents) == len(observations) == len(rngs) == b):
         raise ValueError("need one agent, observation, and rng per site")
-    alloc = _blank_allocation(Mode.DST, (b, n_users, k))
+    alloc = _blank_allocation((b, n_users, k))
     actions: list[np.ndarray | None] = []
     for site in range(b):
         scope = observations[site].scopes[0]
@@ -267,13 +256,13 @@ def allocate_distributed(
 
 
 def allocate_equal_power(
-    channels: ChannelTensor, users: UserSet, topology: Topology, mode: Mode
+    channels: ChannelTensor, users: UserSet, topology: Topology
 ) -> Allocation:
     """Learning-free baseline: every site splits its budget evenly over
     its own (user, subcarrier) pairs, assigning subcarriers round-robin
-    by user row order. Identical for both modes except the label."""
+    by user row order. The same grant serves both modes."""
     b, u, k = channels.h.shape
-    alloc = _blank_allocation(mode, (b, u, k))
+    alloc = _blank_allocation((b, u, k))
     for site in range(b):
         rows = users.rrs_members[site]
         n = len(rows)

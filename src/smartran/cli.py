@@ -135,7 +135,9 @@ def make_preset(name: str, paper_scale: bool = False) -> Preset:
             base,
             counts=tuple(range(2, 25, 2)),
             schemes=("equal-power-baseline",),
-            learners=("sac", "ddpg"),
+            # the baseline builds no learner, so a second one would
+            # only repeat every cell
+            learners=("sac",),
             per_count=None,
         )
     else:
@@ -198,7 +200,7 @@ def long_rows(cells: list[SweepCell]) -> list[str]:
         aggs = groups[(scheme, learner, count)]
         for metric in LONG_METRICS:
             vals = np.array([getattr(a, metric) for a in aggs], dtype=np.float64)
-            stderr = float(vals.std(ddof=0) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
+            stderr = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
             rows.append(
                 ",".join([scheme, learner, str(count), metric, _fmt(float(vals.mean())), _fmt(stderr)])
             )
@@ -394,34 +396,12 @@ def check_determinism(rng: np.random.Generator) -> None:
         raise AssertionError("two identical runs diverged")
 
 
-def check_toc_roundtrip(rng: np.random.Generator) -> None:
-    from .controller import toc_roundtrip_errors
-    from .metrics import TocWeights
-
-    cfg = ScenarioConfig(
-        rrs_count=2,
-        subcarriers=4,
-        n_users=4,
-        train_slots=15,
-        eval_slots=5,
-        norm_warmup_slots=5,
-        seed=3,
-    )
-    result = run_episode(cfg)
-    errors = toc_roundtrip_errors(
-        result.records, TocWeights(alpha=cfg.toc_alpha, beta=cfg.toc_beta)
-    )
-    if errors:
-        raise AssertionError("; ".join(errors[:3]))
-
-
 VALIDATION_CHECKS = (
     ("overhead-identity", check_overhead_identity),
     ("hand-values", check_hand_values),
     ("gradients", check_gradients),
     ("decode-feasibility", check_decode_feasibility),
     ("determinism", check_determinism),
-    ("toc-roundtrip", check_toc_roundtrip),
 )
 
 

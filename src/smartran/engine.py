@@ -248,9 +248,10 @@ def run_episode(config: ScenarioConfig, seed: int | None = None) -> RunResult:
                 dst_agents, obs_dst, topology, n_users, rng_dst, deterministic=not training
             )
         else:
+            # one grant scored under both interference models; neither
+            # rate kernel writes to it
             obs_cnt = obs_dst = None
-            alloc_cnt = allocate_equal_power(channels, users, topology, Mode.CNT)
-            alloc_dst = allocate_equal_power(channels, users, topology, Mode.DST)
+            alloc_cnt = alloc_dst = allocate_equal_power(channels, users, topology)
             act_cnt, act_dst = None, None
 
         # --- score both modes

@@ -104,13 +104,8 @@ def _step_block(state: AdamState, b1c: float, b2c: float, p, g, m, v, step, sq) 
     p -= step
 
 
-def apply_gradients(net, opt: AdamState, grads) -> None:
-    """adam_step on a network's parameters, bumping its cache version.
-
-    grads is either one arena-layout vector, for an optimizer built on
-    [net.flat], or a list matching net.params() for one built on those."""
-    if isinstance(grads, np.ndarray):
-        adam_step(opt, [net.flat], [grads])
-    else:
-        adam_step(opt, net.params(), grads)
+def apply_gradients(net, opt: AdamState, grads: np.ndarray) -> None:
+    """adam_step on a network's arena, bumping its cache version. opt is
+    built on [net.flat] and grads is one arena-layout vector."""
+    adam_step(opt, [net.flat], [grads])
     net.bump()

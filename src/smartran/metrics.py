@@ -58,7 +58,6 @@ class BitBudget:
 class Allocation:
     """One slot's downlink grant: p[b, u, k] watts and rho[b, u, k] in {0, 1}."""
 
-    mode: Mode
     p: np.ndarray  # (B, U, K) float64
     rho: np.ndarray  # (B, U, K) int8
 
@@ -107,33 +106,13 @@ def overhead_centralized(per_rrs_overheads) -> int:
 # Interference and rates
 
 
-def intercell_interference_centralized(
-    channels: ChannelTensor, alloc: Allocation, b: int, u: int, k: int
-) -> float:
-    """Interference at victim (b, u, k) from actual cross-site grants:
-    sum over sites b' != b and users u' != u of h[b', u, k] * p[b', u', k]
-    * rho[b', u', k]. Reference scalar implementation."""
-    n_rrs, n_users = channels.h.shape[0], channels.h.shape[1]
-    total = 0.0
-    for bp in range(n_rrs):
-        if bp == b:
-            continue
-        for up in range(n_users):
-            if up == u:
-                continue
-            total += float(channels.h[bp, u, k]) * float(alloc.p[bp, up, k]) * float(
-                alloc.rho[bp, up, k]
-            )
-    return total
-
-
 def interference_matrix_centralized(channels: ChannelTensor, alloc: Allocation) -> np.ndarray:
     """(B, U, K) interference seen by each potential victim link.
 
-    Vectorized form of intercell_interference_centralized: for victim
-    (b, u, k), every other site contributes its per-subcarrier granted
-    power (minus anything granted to u itself) weighted by the victim's
-    gain to that site.
+    For victim (b, u, k): the sum over sites b' != b and users u' != u
+    of h[b', u, k] * p[b', u', k] * rho[b', u', k], i.e. every other
+    site contributes its per-subcarrier granted power (minus anything
+    granted to u itself) weighted by the victim's gain to that site.
     """
     pr = alloc.p * alloc.rho
     totals = pr.sum(axis=1)  # (B, K) power each site spends on k
@@ -155,34 +134,6 @@ def equal_share_power(p_max_w: float, n_users: int, n_subcarriers: int) -> float
     """Budget split evenly over a site's (user, subcarrier) pairs."""
     pairs = int(n_users) * int(n_subcarriers)
     return 0.0 if pairs == 0 else float(p_max_w) / pairs
-
-
-def intercell_interference_distributed(
-    channels: ChannelTensor,
-    topology: Topology,
-    user_counts,
-    b: int,
-    u: int,
-    k: int = 0,
-) -> float:
-    """Worst-case interference a lone site plans against for victim u
-    (served by site b): every other site b' is assumed to spend its full
-    budget in equal shares over its |U_b'| users and |K_b'| subcarriers,
-    seen through the large-scale gain only. Independent of k.
-    """
-    counts = np.asarray(user_counts, dtype=np.int64)
-    total = 0.0
-    for bp in range(topology.rrs_count):
-        if bp == b:
-            continue
-        n_bp = int(counts[bp])
-        if n_bp == 0:
-            continue
-        k_bp = topology.subcarrier_count
-        share = equal_share_power(float(topology.p_max_w[bp]), n_bp, k_bp)
-        # u is served by b, so the u' != u exclusion removes nothing here
-        total += n_bp * float(channels.h_large[bp, u]) * share
-    return total
 
 
 def interference_vector_distributed(
@@ -221,16 +172,6 @@ def rate_matrix_distributed(
         denom = noise_w + interference[rows]
         rates[b, rows, :] = np.log2(1.0 + signal[b, rows, :] / denom[:, None])
     return rates
-
-
-def rate_total_distributed(
-    channels: ChannelTensor,
-    alloc: Allocation,
-    topology: Topology,
-    users: UserSet,
-    noise_w: float,
-) -> float:
-    return float(rate_matrix_distributed(channels, alloc, topology, users, noise_w).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -81,11 +81,6 @@ class PathLossModel:
         )
 
 
-def path_gain(distance_m: float, model: PathLossModel) -> float:
-    """Large-scale channel gain at a given distance (linear power ratio)."""
-    return float(model.gain(distance_m))
-
-
 @dataclass
 class Topology:
     """Static deployment: site positions and radio constants."""
@@ -144,15 +139,13 @@ class UserSet:
 
     Rows are ordered by ascending user id; ids are never reused within a
     run. rrs_members[b] holds row indices (not ids) of the users served
-    by site b; rrs_subcarriers[b] is the set of subcarriers site b may
-    schedule (full frequency reuse: every site sees all subcarriers).
+    by site b. Reuse is full: every site may schedule every subcarrier.
     """
 
     ids: np.ndarray  # (U,) int64
     positions: np.ndarray  # (U, 2)
     serving: np.ndarray  # (U,) int64, site index per user
     rrs_members: list[np.ndarray]
-    rrs_subcarriers: list[np.ndarray]
     next_id: int
 
     @property
@@ -203,10 +196,8 @@ def _place_in_cells(
     return positions, serving
 
 
-def _partition(topology: Topology, serving: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    members = [np.flatnonzero(serving == b) for b in range(topology.rrs_count)]
-    subcarriers = [np.arange(topology.subcarrier_count) for _ in range(topology.rrs_count)]
-    return members, subcarriers
+def _partition(topology: Topology, serving: np.ndarray) -> list[np.ndarray]:
+    return [np.flatnonzero(serving == b) for b in range(topology.rrs_count)]
 
 
 def spawn_users(
@@ -224,13 +215,11 @@ def spawn_users(
     draw = max(n_users, draw_capacity)
     positions, serving = _place_in_cells(rng, topology, np.arange(draw, dtype=np.int64))
     positions, serving = positions[:n_users], serving[:n_users]
-    members, subcarriers = _partition(topology, serving)
     users = UserSet(
         ids=np.arange(n_users, dtype=np.int64),
         positions=positions,
         serving=serving,
-        rrs_members=members,
-        rrs_subcarriers=subcarriers,
+        rrs_members=_partition(topology, serving),
         next_id=n_users,
     )
     users.validate(topology)
@@ -313,13 +302,11 @@ def step_traffic(
     ids = np.concatenate([users.ids[keep], new_ids])
     positions = np.vstack([users.positions[keep], new_positions])
     serving = np.concatenate([users.serving[keep], new_serving]).astype(np.int64)
-    members, subcarriers = _partition(topology, serving)
     out = UserSet(
         ids=ids.astype(np.int64),
         positions=positions,
         serving=serving,
-        rrs_members=members,
-        rrs_subcarriers=subcarriers,
+        rrs_members=_partition(topology, serving),
         next_id=users.next_id + n_arrivals,
     )
     out.validate(topology)

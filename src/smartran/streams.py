@@ -23,9 +23,6 @@ SDN_AGENT = 21
 CNT_AGENT = 22
 DST_AGENT = 23
 
-# Internal self-check stream.
-VALIDATE = 31
-
 
 def substream(*key: int) -> np.random.Generator:
     """Independent generator for an integer key tuple.

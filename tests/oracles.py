@@ -65,11 +65,26 @@ def loop_complexity(episodes: int, batch: int, layer_sizes) -> int:
 # Rates, both interference models, as scalar triple loops.
 
 
+def loop_interference_centralized(h: np.ndarray, p: np.ndarray, rho: np.ndarray,
+                                  b: int, u: int, k: int) -> float:
+    """Interference at victim (b, u, k) from actual grants: every other
+    site's granted power (excluding grants made to u itself) through the
+    victim's own gain to that site."""
+    n_rrs, n_users, _ = h.shape
+    interference = 0.0
+    for bp in range(n_rrs):
+        if bp == b:
+            continue
+        for up in range(n_users):
+            if up == u:
+                continue
+            interference += h[bp, u, k] * p[bp, up, k] * rho[bp, up, k]
+    return interference
+
+
 def loop_rate_centralized(h: np.ndarray, p: np.ndarray, rho: np.ndarray,
                           noise_w: float) -> float:
-    """Sum-rate with cross-site interference from actual grants: the
-    victim (b, u, k) hears every other site's granted power (excluding
-    grants made to u itself) through its own gain to that site."""
+    """Sum-rate with cross-site interference from actual grants."""
     n_rrs, n_users, n_sub = h.shape
     total = 0.0
     for b in range(n_rrs):
@@ -77,14 +92,7 @@ def loop_rate_centralized(h: np.ndarray, p: np.ndarray, rho: np.ndarray,
             for k in range(n_sub):
                 if rho[b, u, k] == 0:
                     continue
-                interference = 0.0
-                for bp in range(n_rrs):
-                    if bp == b:
-                        continue
-                    for up in range(n_users):
-                        if up == u:
-                            continue
-                        interference += h[bp, u, k] * p[bp, up, k] * rho[bp, up, k]
+                interference = loop_interference_centralized(h, p, rho, b, u, k)
                 sinr = p[b, u, k] * h[b, u, k] / (noise_w + interference)
                 total += np.log2(1.0 + sinr)
     return float(total)

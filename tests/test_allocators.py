@@ -19,7 +19,6 @@ from smartran.allocators import (
 from smartran.config import ScenarioConfig
 from smartran.learning import make_sac_agent, sac_update
 from smartran.metrics import (
-    Mode,
     centralized_shape,
     distributed_shape,
     rate_matrix_distributed,
@@ -107,14 +106,16 @@ def test_observation_lengths_match_complexity_inputs(tiny_net):
     cnt_shape = centralized_shape(
         1, 1, (8,), users.n_users, topo.subcarrier_count, topo.rrs_count
     )
-    assert obs.vector.size == cnt_shape.input_size
+    assert obs.padded.size == cnt_shape.input_size  # capacity is the population
     locals_ = build_distributed_observations(channels, users, topo, noise, cap)
     for b, lob in enumerate(locals_):
         dst_shape = distributed_shape(
             1, 1, (8,), len(users.rrs_members[b]), topo.subcarrier_count
         )
-        assert lob.vector.size == dst_shape.input_size or (
-            len(users.rrs_members[b]) == 0 and lob.vector.size == 0
+        (scope,) = lob.scopes
+        active = scope.n_active * scope.n_subcarriers
+        assert active == dst_shape.input_size or (
+            len(users.rrs_members[b]) == 0 and active == 0
         )
 
 
@@ -122,8 +123,9 @@ def test_observation_entries_finite_and_standardized(tiny_net):
     topo, users, channels, _, noise = tiny_net
     obs = build_centralized_observation(channels, users, topo, users.n_users)
     assert np.all(np.isfinite(obs.padded))
-    assert obs.vector.mean() == pytest.approx(0.0, abs=1e-9)
-    assert obs.vector.std() == pytest.approx(1.0, rel=1e-6)
+    # capacity equals the population, so nothing is padded
+    assert obs.padded.mean() == pytest.approx(0.0, abs=1e-9)
+    assert obs.padded.std() == pytest.approx(1.0, rel=1e-6)
 
 
 def test_observation_rejects_overflow(tiny_net):
@@ -205,11 +207,10 @@ def test_equal_power_hand_case():
         positions=np.zeros((2, 2)) + 1.0,
         serving=np.zeros(2, dtype=np.int64),
         rrs_members=[np.arange(2)],
-        rrs_subcarriers=[np.arange(4)],
         next_id=2,
     )
     channels = _manual_channels(np.ones((1, 2)), 4)
-    alloc = allocate_equal_power(channels, users, topo, Mode.DST)
+    alloc = allocate_equal_power(channels, users, topo)
     # 2 users x 4 subcarriers: each user owns two subcarriers at p_max/4
     assert alloc.rho.sum() == 4
     assert np.all(alloc.rho.sum(axis=1) == 1)
@@ -232,11 +233,10 @@ def test_equal_power_single_pair_full_budget():
         positions=np.ones((1, 2)),
         serving=np.zeros(1, dtype=np.int64),
         rrs_members=[np.arange(1)],
-        rrs_subcarriers=[np.arange(1)],
         next_id=1,
     )
     channels = _manual_channels(np.ones((1, 1)), 1)
-    alloc = allocate_equal_power(channels, users, topo, Mode.CNT)
+    alloc = allocate_equal_power(channels, users, topo)
     assert alloc.p[0, 0, 0] == 5.0
 
 
@@ -250,8 +250,8 @@ def test_equal_power_feasible_and_deterministic_random_scopes():
         topo = generate_topology(cfg, seed=int(rng.integers(0, 1000)))
         users = spawn_users(topo, n, seed=int(rng.integers(0, 1000)))
         channels = _manual_channels(rng.uniform(0.5, 2.0, size=(b, n)), k)
-        one = allocate_equal_power(channels, users, topo, Mode.DST)
-        two = allocate_equal_power(channels, users, topo, Mode.DST)
+        one = allocate_equal_power(channels, users, topo)
+        two = allocate_equal_power(channels, users, topo)
         one.validate(topo.p_max_w)
         assert np.array_equal(one.p, two.p) and np.array_equal(one.rho, two.rho)
         for site in range(b):
@@ -301,7 +301,6 @@ def test_emitted_allocations_always_feasible(tiny_net):
     for _ in range(10):
         alloc, _ = allocate_centralized(agent, obs, topo, users.n_users, rng)
         alloc.validate(topo.p_max_w)
-        assert alloc.mode is Mode.CNT
     locals_ = build_distributed_observations(channels, users, topo, noise, cap)
     agents = [
         make_sac_agent(locals_[b].padded.size, 2 * cap * topo.subcarrier_count, np.random.default_rng(b), hidden_sizes=(8,))
@@ -311,7 +310,6 @@ def test_emitted_allocations_always_feasible(tiny_net):
     for _ in range(10):
         alloc, _ = allocate_distributed(agents, locals_, topo, users.n_users, rngs)
         alloc.validate(topo.p_max_w)
-        assert alloc.mode is Mode.DST
 
 
 def test_allocate_distributed_rejects_count_mismatch(tiny_net):
@@ -348,7 +346,6 @@ def _single_site_toy():
         positions=np.array([[10.0, 0.0], [-10.0, 0.0]]),
         serving=np.zeros(2, dtype=np.int64),
         rrs_members=[np.arange(2)],
-        rrs_subcarriers=[np.arange(1)],
         next_id=2,
     )
     channels = _manual_channels(np.array([[1.0, 100.0]]), 1)
@@ -397,7 +394,6 @@ def _two_site_toy():
         positions=np.array([[-510.0, 0.0], [510.0, 0.0], [-490.0, 0.0], [490.0, 0.0]]),
         serving=np.array([0, 1, 0, 1], dtype=np.int64),
         rrs_members=[np.array([0, 2]), np.array([1, 3])],
-        rrs_subcarriers=[np.arange(1), np.arange(1)],
         next_id=4,
     )
     # per cell: weak local user at gain 1, strong at 100; cross gains tiny

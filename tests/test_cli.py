@@ -129,6 +129,18 @@ def test_figure_writes_both_tables(tmp_path):
         float(parts[4]), float(parts[5])
 
 
+def test_toc_preset_runs_each_cell_once(tmp_path):
+    # its only scheme builds no learner, so one learner covers every cell
+    out = tmp_path / "toc"
+    rc = cli.main(
+        ["figure", "--preset", "toc", "--seeds", "1", "--slots", "5",
+         "--workers", "1", "--out", str(out)]
+    )
+    assert rc == 0
+    rows = [line.split(",") for line in (out / "toc_results.csv").read_text().splitlines()[1:]]
+    assert [int(r[2]) for r in rows] == list(cli.make_preset("toc").counts)
+
+
 def test_figure_unknown_preset_exits_1(capsys):
     assert cli.main(["figure", "--preset", "nope", "--out", "/tmp/x"]) == 1
     assert "unknown preset" in capsys.readouterr().err
@@ -156,7 +168,7 @@ def test_figure_failed_cell_exits_2(tmp_path, monkeypatch, capsys):
 def test_validate_subcommand_passes(capsys):
     assert cli.main(["validate"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 6
+    assert out.count("PASS") == 5
     assert "FAIL" not in out
 
 
@@ -174,6 +186,24 @@ def test_result_rows_sorted_and_error_cells_refused():
     assert keys == sorted(keys)
     with pytest.raises(ValueError, match="failed cell"):
         cli.result_rows([SweepCell("smart", "sac", 2, 0, None, error="boom")])
+
+
+def test_long_rows_stderr_is_the_standard_error_of_the_mean():
+    from dataclasses import replace
+
+    from smartran.engine import SweepCell
+
+    def cell(count, seed, rate):
+        return SweepCell("smart", "sac", count, seed, replace(_agg(slots=2), mean_rate=rate))
+
+    cells = [cell(2, 0, 2.0), cell(2, 1, 4.0), cell(2, 2, 9.0), cell(4, 0, 1.0), cell(4, 1, 3.0)]
+    rows = [r.split(",") for r in cli.long_rows(cells + [cell(6, 0, 5.0)])]
+    rate = {int(r[2]): r[4:] for r in rows if r[3] == "mean_rate"}
+    # sample std (n - 1 denominator) over sqrt(n): sqrt(26 / 2) / sqrt(3), sqrt(2) / sqrt(2)
+    assert float(rate[2][0]) == 5.0
+    assert float(rate[2][1]) == pytest.approx(np.sqrt(13.0 / 3.0), rel=1e-11)
+    assert rate[4] == ["2", "1"]
+    assert rate[6] == ["5", "0"]  # one seed: no spread to estimate
 
 
 def _agg(slots):

@@ -217,11 +217,26 @@ def _records_sha256(records) -> str:
 
 
 def test_learned_path_records_are_pinned():
-    # a small smart SAC episode whose allocators and SDN agent both train;
-    # the digest was taken from the per-layer learning core this replaced
-    cfg = _cfg(scheme="smart", learner="sac", n_users=2, train_slots=30, eval_slots=10)
-    result = run_episode(cfg)
-    assert {r.executed for r in result.records} == {Mode.CNT, Mode.DST}
-    assert _records_sha256(result.records) == (
-        "2db68192b46ca8e6bd3597f896b01a4af7a036d6492b4f7e4e519643826131e6"
-    )
+    # a small smart SAC episode whose allocators and SDN agent both train,
+    # and an equal-power baseline under churn that empties sites and puts
+    # more users on a site than it has subcarriers; the smart digest was
+    # taken from the per-layer learning core, the baseline one from the
+    # engine that built one equal-power grant per mode
+    cases = [
+        (
+            _cfg(scheme="smart", learner="sac", n_users=2, train_slots=30, eval_slots=10),
+            "2db68192b46ca8e6bd3597f896b01a4af7a036d6492b4f7e4e519643826131e6",
+        ),
+        (
+            _cfg(
+                scheme="equal-power-baseline", train_slots=10, eval_slots=30,
+                arrival_rate=1.2, departure_prob=0.2, max_users=10,
+            ),
+            "4db6c1d4196f24c6cc1722beee68325532fab2560b97d1fdfd1b64c49c0a712b",
+        ),
+    ]
+    for cfg, digest in cases:
+        result = run_episode(cfg)
+        if cfg.scheme == "smart":
+            assert {r.executed for r in result.records} == {Mode.CNT, Mode.DST}
+        assert _records_sha256(result.records) == digest

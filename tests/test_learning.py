@@ -56,8 +56,8 @@ def test_gradient_rejects_stale_cache():
     rng = np.random.default_rng(2)
     net = mlp_init((2, 4, 1), rng)
     _, cache = mlp_forward_cached(net, np.ones(2))
-    opt = adam_init(net.params(), lr=1e-3)
-    grads, _ = mlp_gradient(net, np.ones(1), cache)
+    opt = adam_init([net.flat], lr=1e-3)
+    grads, _ = mlp_gradient(net, np.ones(1), cache, params="flat")
     apply_gradients(net, opt, grads)
     with pytest.raises(ValueError, match="stale cache"):
         mlp_gradient(net, np.ones(1), cache)
@@ -109,9 +109,9 @@ def test_adam_shape_mismatch():
 def test_apply_gradients_bumps_version():
     rng = np.random.default_rng(5)
     net = mlp_init((2, 3, 1), rng)
-    opt = adam_init(net.params(), lr=1e-3)
+    opt = adam_init([net.flat], lr=1e-3)
     v0 = net.version
-    apply_gradients(net, opt, [np.zeros_like(p) for p in net.params()])
+    apply_gradients(net, opt, np.zeros_like(net.flat))
     assert net.version == v0 + 1
 
 

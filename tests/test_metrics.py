@@ -10,7 +10,6 @@ from smartran.metrics import (
     Allocation,
     BitBudget,
     ComplexityShape,
-    Mode,
     TocWeights,
     centralized_shape,
     complexity_centralized,
@@ -18,14 +17,12 @@ from smartran.metrics import (
     complexity_forward_cost,
     distributed_shape,
     equal_share_power,
-    intercell_interference_centralized,
     interference_matrix_centralized,
     interference_vector_distributed,
     overhead_centralized,
     overhead_distributed,
     rate_matrix_distributed,
     rate_total_centralized,
-    rate_total_distributed,
     toc_centralized,
     toc_distributed,
 )
@@ -46,7 +43,7 @@ def _random_case(rng, n_rrs=3, n_users=5, n_sub=4):
             u = int(rng.integers(0, n_users))
             rho[b, u, k] = 1
             p[b, u, k] = rng.uniform(0.0, 1.0)
-    return channels, Allocation(mode=Mode.CNT, p=p, rho=rho)
+    return channels, Allocation(p=p, rho=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +103,9 @@ def test_interference_matrix_matches_scalar_definition():
     for b in range(n_rrs):
         for u in range(n_users):
             for k in range(n_sub):
-                want = intercell_interference_centralized(channels, alloc, b, u, k)
+                want = oracles.loop_interference_centralized(
+                    channels.h, alloc.p, alloc.rho, b, u, k
+                )
                 assert mat[b, u, k] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
@@ -131,7 +130,6 @@ def test_rate_centralized_single_cell_closed_form():
 def test_rate_rejects_nonpositive_noise(tiny_net):
     topo, users, channels, _, _ = tiny_net
     alloc = Allocation(
-        mode=Mode.CNT,
         p=np.zeros_like(channels.h),
         rho=np.zeros(channels.h.shape, dtype=np.int8),
     )
@@ -177,7 +175,6 @@ def test_planning_interference_excludes_own_site_and_empty_sites():
         positions=np.array([[-50.0, 1.0], [-50.0, -1.0]]),
         serving=np.zeros(2, dtype=np.int64),
         rrs_members=[np.arange(2), np.empty(0, dtype=np.int64)],
-        rrs_subcarriers=[np.arange(4), np.arange(4)],
         next_id=2,
     )
     assert np.array_equal(
@@ -190,7 +187,6 @@ def test_planning_interference_excludes_own_site_and_empty_sites():
         positions=np.array([[-50.0, 1.0], [50.0, -1.0]]),
         serving=np.array([0, 1], dtype=np.int64),
         rrs_members=[np.array([0]), np.array([1])],
-        rrs_subcarriers=[np.arange(4), np.arange(4)],
         next_id=2,
     )
     vec = interference_vector_distributed(channels, topo, users2)
@@ -209,8 +205,8 @@ def test_rate_distributed_matches_loop_oracle(tiny_net):
             u = int(rng.choice(rows))
             rho[b, u, k] = 1
             p[b, u, k] = rng.uniform(0.0, 1.0)
-    alloc = Allocation(mode=Mode.DST, p=p, rho=rho)
-    got = rate_total_distributed(channels, alloc, topo, users, noise)
+    alloc = Allocation(p=p, rho=rho)
+    got = float(rate_matrix_distributed(channels, alloc, topo, users, noise).sum())
     want = oracles.loop_rate_distributed(
         channels.h, p, rho, channels.h_large, users.user_counts(),
         topo.p_max_w, users.serving, noise,
@@ -221,7 +217,6 @@ def test_rate_distributed_matches_loop_oracle(tiny_net):
 def test_rate_matrix_distributed_zero_off_grant(tiny_net):
     topo, users, channels, _, noise = tiny_net
     alloc = Allocation(
-        mode=Mode.DST,
         p=np.ones_like(channels.h),
         rho=np.zeros(channels.h.shape, dtype=np.int8),
     )
@@ -242,7 +237,7 @@ def test_allocation_validate_accepts_feasible(tiny_net):
     topo, users, channels, _, _ = tiny_net
     from smartran.allocators import allocate_equal_power
 
-    alloc = allocate_equal_power(channels, users, topo, Mode.CNT)
+    alloc = allocate_equal_power(channels, users, topo)
     alloc.validate(topo.p_max_w)
 
 
@@ -254,19 +249,19 @@ def test_allocation_validate_rejects_violations(tiny_net):
     rho[0, 0, 0] = 1
     rho[0, 1, 0] = 1
     with pytest.raises(ValueError):
-        Allocation(mode=Mode.CNT, p=np.zeros(shape), rho=rho).validate(topo.p_max_w)
+        Allocation(p=np.zeros(shape), rho=rho).validate(topo.p_max_w)
     # power above the site budget
     rho2 = np.zeros(shape, dtype=np.int8)
     rho2[0, 0, 0] = 1
     p2 = np.zeros(shape)
     p2[0, 0, 0] = float(topo.p_max_w[0]) * 2.0
     with pytest.raises(ValueError):
-        Allocation(mode=Mode.CNT, p=p2, rho=rho2).validate(topo.p_max_w)
+        Allocation(p=p2, rho=rho2).validate(topo.p_max_w)
     # negative power
     p3 = np.zeros(shape)
     p3[0, 0, 0] = -0.1
     with pytest.raises(ValueError):
-        Allocation(mode=Mode.CNT, p=p3, rho=rho2).validate(topo.p_max_w)
+        Allocation(p=p3, rho=rho2).validate(topo.p_max_w)
 
 
 # ---------------------------------------------------------------------------
