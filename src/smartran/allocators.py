@@ -1,4 +1,5 @@
-"""Allocation policies: encode channel state, decode network actions.
+"""Allocation policies: encode channel state, decode network actions,
+and build and train the learners behind them.
 
 Observation layout. The centralized policy sees the gain of every
 (site, user, subcarrier) triple as standardized log-gains, flattened
@@ -11,62 +12,42 @@ as log10(h / (noise + I)), so the local vector length is exactly
 |U_b| * |K_b|.
 
 Capacity padding. Networks are built once per run for a fixed user
-capacity; when fewer users are active the observation is zero-padded at
-the network boundary and the unused action entries are ignored by the
-decoder.
+capacity cap, so every observation is a plain vector zero-padded to
+capacity and every site's action block has 2 * cap * K entries. Entry i
+of a block belongs to the site's i-th member, users.rrs_members[b][i];
+entries past the site's member count are ignored.
 
-Action decoding. For each (site, subcarrier) the assigned user is the
-argmax of the user logits over active rows (ties to the lowest id, i.e.
-the first row). Each site's power scores on its assigned pairs pass
-through a softmax scaled by that site's budget, so the per-site power
-sums to p_max exactly and an all-zero action yields equal powers.
+Action decoding. Both modes decode each site's block the same way, into
+an owner row and a power per subcarrier. The owner is the member with
+the largest user logit (ties to the first member, the lowest row). The
+owners' power scores pass through a softmax scaled by the site's budget,
+so the site's power sums to p_max exactly and an all-zero action yields
+equal powers. The equal-power baseline grants through the same helper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import ScenarioConfig
 from .learning import (
     DdpgAgent,
     DqnAgent,
     SacAgent,
     ddpg_select_action,
+    ddpg_update,
     dqn_select_action,
+    dqn_update,
+    make_ddpg_agent,
+    make_dqn_agent,
+    make_sac_agent,
     sac_select_action,
+    sac_update,
 )
-from .metrics import Allocation, equal_share_power
+from .metrics import Allocation, equal_share_power, interference_vector_distributed
 from .netmodel import ChannelTensor, Topology, UserSet
 
 _STD_FLOOR = 1e-9
-
-
-@dataclass
-class AllocScope:
-    """Active-layout descriptor the decoder needs for one site."""
-
-    rrs: int
-    user_rows: np.ndarray  # global rows of this site's associated users
-    n_subcarriers: int
-    cap_users: int  # padded row capacity of the network's action block
-
-    @property
-    def n_active(self) -> int:
-        return int(len(self.user_rows))
-
-    @property
-    def block_len(self) -> int:
-        return 2 * self.cap_users * self.n_subcarriers
-
-
-@dataclass
-class AllocObservation:
-    """Observation for one policy: its padded network input and the
-    per-site decode scopes."""
-
-    padded: np.ndarray  # network input at capacity
-    scopes: list[AllocScope]
 
 
 def _standardize(values: np.ndarray) -> np.ndarray:
@@ -77,27 +58,16 @@ def _standardize(values: np.ndarray) -> np.ndarray:
     return (values - mean) / (std + _STD_FLOOR)
 
 
-def build_centralized_observation(
-    channels: ChannelTensor, users: UserSet, topology: Topology, cap_users: int
-) -> AllocObservation:
+def build_centralized_observation(channels: ChannelTensor, cap_users: int) -> np.ndarray:
     """Standardized log10 gains of all (B, U, K) triples, zero-padded to
-    (B, cap, K) for the network."""
+    (B, cap, K) and flattened for the network."""
     b, u, k = channels.h.shape
     if u > cap_users:
         raise ValueError(f"{u} users exceed the configured capacity {cap_users}")
     logs = _standardize(np.log10(channels.h))
     padded = np.zeros((b, cap_users, k))
     padded[:, :u, :] = logs
-    scopes = [
-        AllocScope(
-            rrs=site,
-            user_rows=users.rrs_members[site],
-            n_subcarriers=k,
-            cap_users=cap_users,
-        )
-        for site in range(b)
-    ]
-    return AllocObservation(padded=padded.ravel(), scopes=scopes)
+    return padded.ravel()
 
 
 def build_distributed_observations(
@@ -106,11 +76,10 @@ def build_distributed_observations(
     topology: Topology,
     noise_w: float,
     cap_users: int,
-) -> list[AllocObservation]:
+) -> list[np.ndarray]:
     """One local observation per site: standardized log10 of the
-    planning SINR numerator h / (noise + I_worst) over own users."""
-    from .metrics import interference_vector_distributed
-
+    planning SINR numerator h / (noise + I_worst) over own users,
+    zero-padded to (cap, K) and flattened."""
     k = topology.subcarrier_count
     interference = interference_vector_distributed(channels, topology, users)
     out = []
@@ -122,70 +91,100 @@ def build_distributed_observations(
         logs = _standardize(np.log10(local)) if len(rows) else np.empty((0, k))
         padded = np.zeros((cap_users, k))
         padded[: len(rows), :] = logs
-        scope = AllocScope(rrs=b, user_rows=rows, n_subcarriers=k, cap_users=cap_users)
-        out.append(AllocObservation(padded=padded.ravel(), scopes=[scope]))
+        out.append(padded.ravel())
     return out
 
 
 def decode_action(
-    raw: np.ndarray, scope: AllocScope, p_max_w: float
+    raw: np.ndarray, rows: np.ndarray, cap_users: int, k: int, p_max_w: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Turn one site's raw action block into (powers, assignment) over
-    (cap_users, K); only rows listed in the scope can win a subcarrier.
+    """Turn one site's raw action block into (owner, power): the global
+    row that wins each of the k subcarriers and the power it gets there.
+    rows are the site's members in block order; only they can win.
 
-    Always feasible: rho is one-hot per subcarrier across users, powers
-    are non-negative and sum to exactly p_max_w (or 0 with no users).
+    Always feasible: one owner per subcarrier, powers non-negative and
+    summing to exactly p_max_w. An idle site (no rows) gets two empty
+    arrays, so it grants nothing.
     """
     raw = np.asarray(raw, dtype=np.float64).ravel()
-    cap, k = scope.cap_users, scope.n_subcarriers
-    if raw.shape[0] != 2 * cap * k:
-        raise ValueError(f"action block of length {raw.shape[0]}, expected {2 * cap * k}")
-    p = np.zeros((cap, k))
-    rho = np.zeros((cap, k), dtype=np.int8)
-    n = scope.n_active
+    if raw.shape[0] != 2 * cap_users * k:
+        raise ValueError(f"action block of length {raw.shape[0]}, expected {2 * cap_users * k}")
+    n = len(rows)
     if n == 0:
-        return p, rho
-    logits = raw[: cap * k].reshape(cap, k)
-    scores = raw[cap * k :].reshape(cap, k)
-    winners = np.argmax(logits[:n, :], axis=0)  # first max -> lowest id on ties
-    cols = np.arange(k)
-    rho[winners, cols] = 1
-    chosen = scores[winners, cols]
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    logits = raw[: cap_users * k].reshape(cap_users, k)
+    scores = raw[cap_users * k :].reshape(cap_users, k)
+    winners = np.argmax(logits[:n, :], axis=0)  # first max -> lowest row on ties
+    chosen = scores[winners, np.arange(k)]
     shifted = np.exp(chosen - chosen.max())
-    p[winners, cols] = p_max_w * shifted / shifted.sum()
-    return p, rho
+    return rows[winners], p_max_w * shifted / shifted.sum()
 
 
-def make_dqn_allocator(
-    state_dim: int,
-    action_dim: int,
-    rng: np.random.Generator,
-    n_candidates: int = 32,
-    **kwargs,
-) -> DqnAgent:
-    """DQN over a codebook of fixed raw-action vectors: the agent picks
-    which of n_candidates decode patterns fits the current channels."""
-    from .learning import make_dqn_agent
+def _grant(alloc: Allocation, site: int, owner: np.ndarray, power) -> None:
+    """Give subcarrier j of the site to global row owner[j] at power[j]
+    (or at the scalar power on every subcarrier)."""
+    cols = np.arange(len(owner))
+    alloc.rho[site, owner, cols] = 1
+    alloc.p[site, owner, cols] = power
 
-    agent = make_dqn_agent(state_dim, n_candidates, rng, **kwargs)
-    agent.candidates = rng.uniform(-1.0, 1.0, size=(n_candidates, action_dim))
-    return agent
+
+def make_allocator(
+    kind: str, state_dim: int, action_dim: int, rng: np.random.Generator, cfg: ScenarioConfig
+):
+    """A fresh allocator learner. A DQN allocator does not emit raw
+    actions; it picks which of cfg.dqn_actions fixed raw-action vectors
+    (its codebook, drawn after the network) fits the current channels."""
+    common = dict(
+        hidden_sizes=cfg.hidden_sizes,
+        lr=cfg.learning_rate,
+        gamma=cfg.alloc_discount,
+        polyak=cfg.polyak,
+        buffer_capacity=cfg.buffer_capacity,
+    )
+    if kind == "sac":
+        return make_sac_agent(
+            state_dim, action_dim, rng, init_alpha=cfg.init_temperature, **common
+        )
+    if kind == "dqn":
+        agent = make_dqn_agent(
+            state_dim, cfg.dqn_actions, rng, epsilon=cfg.dqn_epsilon, **common
+        )
+        agent.candidates = rng.uniform(-1.0, 1.0, size=(cfg.dqn_actions, action_dim))
+        return agent
+    if kind == "ddpg":
+        return make_ddpg_agent(state_dim, action_dim, rng, noise_std=cfg.ddpg_noise, **common)
+    raise ValueError(f"unknown learner {kind!r}")
+
+
+def update_allocator(agent, rng: np.random.Generator, batch_size: int) -> None:
+    """One gradient step on a replay batch, once the buffer holds one."""
+    if len(agent.buffer) < batch_size:
+        return
+    batch = agent.buffer.sample(batch_size, rng)
+    if isinstance(agent, SacAgent):
+        sac_update(agent, batch, rng)
+    elif isinstance(agent, DqnAgent):
+        dqn_update(agent, batch)
+    elif isinstance(agent, DdpgAgent):
+        ddpg_update(agent, batch)
+    else:
+        raise TypeError(f"unsupported allocator agent {type(agent).__name__}")
 
 
 def _select_raw(
-    agent, padded_obs: np.ndarray, rng, deterministic: bool
+    agent, obs: np.ndarray, rng, deterministic: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Learner dispatch. Returns (raw action vector for the decoder,
     action as stored in the replay buffer). DQN stores its codebook
     index; the continuous learners store the vector itself."""
     if isinstance(agent, SacAgent):
-        a = sac_select_action(agent, padded_obs, rng, deterministic=deterministic)
+        a = sac_select_action(agent, obs, rng, deterministic=deterministic)
         return a, a
     if isinstance(agent, DqnAgent):
-        idx = dqn_select_action(agent, padded_obs, rng, greedy=deterministic)
+        idx = dqn_select_action(agent, obs, rng, greedy=deterministic)
         return agent.candidates[idx], np.array([float(idx)])
     if isinstance(agent, DdpgAgent):
-        a = ddpg_select_action(agent, padded_obs, rng, deterministic=deterministic)
+        a = ddpg_select_action(agent, obs, rng, deterministic=deterministic)
         return a, a
     raise TypeError(f"unsupported allocator agent {type(agent).__name__}")
 
@@ -196,9 +195,10 @@ def _blank_allocation(shape: tuple[int, int, int]) -> Allocation:
 
 def allocate_centralized(
     agent,
-    obs: AllocObservation,
+    obs: np.ndarray,
+    users: UserSet,
     topology: Topology,
-    n_users: int,
+    cap_users: int,
     rng: np.random.Generator,
     deterministic: bool = False,
 ) -> tuple[Allocation, np.ndarray]:
@@ -206,27 +206,29 @@ def allocate_centralized(
     Returns the allocation and the replay-storable action."""
     b = topology.rrs_count
     k = topology.subcarrier_count
-    alloc = _blank_allocation((b, n_users, k))
-    if n_users == 0:
+    alloc = _blank_allocation((b, users.n_users, k))
+    if users.n_users == 0:
         return alloc, np.zeros(0)
-    raw, stored = _select_raw(agent, obs.padded, rng, deterministic)
-    block = obs.scopes[0].block_len
+    raw, stored = _select_raw(agent, obs, rng, deterministic)
+    block = 2 * cap_users * k
     for site in range(b):
-        scope = obs.scopes[site]
-        p_pad, rho_pad = decode_action(
-            raw[site * block : (site + 1) * block], scope, float(topology.p_max_w[site])
+        owner, power = decode_action(
+            raw[site * block : (site + 1) * block],
+            users.rrs_members[site],
+            cap_users,
+            k,
+            float(topology.p_max_w[site]),
         )
-        n = scope.n_active
-        alloc.p[site, scope.user_rows, :] = p_pad[:n, :]
-        alloc.rho[site, scope.user_rows, :] = rho_pad[:n, :]
+        _grant(alloc, site, owner, power)
     return alloc, np.asarray(stored, dtype=np.float64)
 
 
 def allocate_distributed(
     agents: list,
-    observations: list[AllocObservation],
+    observations: list[np.ndarray],
+    users: UserSet,
     topology: Topology,
-    n_users: int,
+    cap_users: int,
     rngs: list[np.random.Generator],
     deterministic: bool = False,
 ) -> tuple[Allocation, list[np.ndarray | None]]:
@@ -237,20 +239,16 @@ def allocate_distributed(
     k = topology.subcarrier_count
     if not (len(agents) == len(observations) == len(rngs) == b):
         raise ValueError("need one agent, observation, and rng per site")
-    alloc = _blank_allocation((b, n_users, k))
+    alloc = _blank_allocation((b, users.n_users, k))
     actions: list[np.ndarray | None] = []
     for site in range(b):
-        scope = observations[site].scopes[0]
-        if scope.n_active == 0:
+        rows = users.rrs_members[site]
+        if len(rows) == 0:
             actions.append(None)
             continue
-        raw, stored = _select_raw(
-            agents[site], observations[site].padded, rngs[site], deterministic
-        )
-        p_pad, rho_pad = decode_action(raw, scope, float(topology.p_max_w[site]))
-        n = scope.n_active
-        alloc.p[site, scope.user_rows, :] = p_pad[:n, :]
-        alloc.rho[site, scope.user_rows, :] = rho_pad[:n, :]
+        raw, stored = _select_raw(agents[site], observations[site], rngs[site], deterministic)
+        owner, power = decode_action(raw, rows, cap_users, k, float(topology.p_max_w[site]))
+        _grant(alloc, site, owner, power)
         actions.append(np.asarray(stored, dtype=np.float64))
     return alloc, actions
 
@@ -271,7 +269,5 @@ def allocate_equal_power(
         share = equal_share_power(float(topology.p_max_w[site]), n, k)
         # round-robin one user per subcarrier; power on assigned pairs
         # scaled so the site spends its full budget
-        owner = rows[np.arange(k) % n]
-        alloc.rho[site, owner, np.arange(k)] = 1
-        alloc.p[site, owner, np.arange(k)] = share * n
+        _grant(alloc, site, rows[np.arange(k) % n], share * n)
     return alloc

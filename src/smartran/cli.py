@@ -358,22 +358,22 @@ def check_gradients(rng: np.random.Generator) -> None:
 
 
 def check_decode_feasibility(rng: np.random.Generator) -> None:
-    from .allocators import AllocScope, decode_action
+    from .allocators import decode_action
 
     for _ in range(200):
         k = int(rng.integers(1, 9))
         n = int(rng.integers(0, 7))
-        cap = n + int(rng.integers(0, 4))
-        scope = AllocScope(rrs=0, user_rows=np.arange(n), n_subcarriers=k, cap_users=max(cap, 1))
-        raw = rng.normal(size=2 * max(cap, 1) * k)
+        cap = max(n + int(rng.integers(0, 4)), 1)
+        rows = np.sort(rng.choice(2 * cap, size=n, replace=False))
+        raw = rng.normal(size=2 * cap * k)
         p_max = float(rng.uniform(0.5, 20.0))
-        power, rho = decode_action(raw, scope, p_max)
+        owner, power = decode_action(raw, rows, cap, k, p_max)
         if n == 0:
-            if power.sum() != 0.0:
+            if owner.size or power.size:
                 raise AssertionError("idle site must not transmit")
             continue
-        if not np.allclose(rho.sum(axis=0), 1.0):
-            raise AssertionError("each subcarrier must have exactly one user")
+        if owner.shape != (k,) or not np.all(np.isin(owner, rows)):
+            raise AssertionError("each subcarrier must go to exactly one of the site's users")
         if abs(power.sum() - p_max) > 1e-9 * p_max:
             raise AssertionError("decoded power must spend the full site budget")
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -36,20 +35,12 @@ from .allocators import (
     allocate_equal_power,
     build_centralized_observation,
     build_distributed_observations,
-    make_dqn_allocator,
+    make_allocator,
+    update_allocator,
 )
 from .config import ScenarioConfig
 from .controller import ModeDecision, SdnController, SlotRecord, toc_roundtrip_errors
-from .learning import (
-    DdpgAgent,
-    DqnAgent,
-    SacAgent,
-    ddpg_update,
-    dqn_update,
-    make_ddpg_agent,
-    make_sac_agent,
-    sac_update,
-)
+from .learning import make_sac_agent
 from .metrics import (
     BitBudget,
     Mode,
@@ -96,7 +87,6 @@ class RunResult:
     records: list[SlotRecord]
     eval_start: int
     aggregates: Aggregates
-    wall_clock_s: float
 
 
 def aggregate_records(records: list[SlotRecord], eval_start: int) -> Aggregates:
@@ -123,49 +113,8 @@ def aggregate_records(records: list[SlotRecord], eval_start: int) -> Aggregates:
     )
 
 
-def _make_allocator(kind: str, state_dim: int, action_dim: int, rng, cfg: ScenarioConfig):
-    common = dict(
-        hidden_sizes=cfg.hidden_sizes,
-        lr=cfg.learning_rate,
-        gamma=cfg.alloc_discount,
-        polyak=cfg.polyak,
-        buffer_capacity=cfg.buffer_capacity,
-    )
-    if kind == "sac":
-        return make_sac_agent(
-            state_dim, action_dim, rng, init_alpha=cfg.init_temperature, **common
-        )
-    if kind == "dqn":
-        return make_dqn_allocator(
-            state_dim,
-            action_dim,
-            rng,
-            n_candidates=cfg.dqn_actions,
-            epsilon=cfg.dqn_epsilon,
-            **common,
-        )
-    if kind == "ddpg":
-        return make_ddpg_agent(state_dim, action_dim, rng, noise_std=cfg.ddpg_noise, **common)
-    raise ValueError(f"unknown learner {kind!r}")
-
-
-def _update_allocator(agent, rng, batch_size: int):
-    if len(agent.buffer) < batch_size:
-        return
-    batch = agent.buffer.sample(batch_size, rng)
-    if isinstance(agent, SacAgent):
-        sac_update(agent, batch, rng)
-    elif isinstance(agent, DqnAgent):
-        dqn_update(agent, batch)
-    elif isinstance(agent, DdpgAgent):
-        ddpg_update(agent, batch)
-    else:
-        raise TypeError(f"unsupported allocator agent {type(agent).__name__}")
-
-
 def run_episode(config: ScenarioConfig, seed: int | None = None) -> RunResult:
     """Run one scenario to completion and aggregate its eval window."""
-    start = time.perf_counter()
     config.validate()
     cfg = config if seed is None else replace(config, seed=seed)
     env_seed = cfg.seed
@@ -189,9 +138,9 @@ def run_episode(config: ScenarioConfig, seed: int | None = None) -> RunResult:
     rng_dst = [streams.substream(agent_seed, streams.DST_AGENT, site) for site in range(b)]
     rng_sdn = streams.substream(agent_seed, streams.SDN_AGENT)
     if learned:
-        cnt_agent = _make_allocator(cfg.learner, b * cap * k, 2 * b * cap * k, rng_cnt, cfg)
+        cnt_agent = make_allocator(cfg.learner, b * cap * k, 2 * b * cap * k, rng_cnt, cfg)
         dst_agents = [
-            _make_allocator(cfg.learner, cap * k, 2 * cap * k, rng_dst[site], cfg)
+            make_allocator(cfg.learner, cap * k, 2 * cap * k, rng_dst[site], cfg)
             for site in range(b)
         ]
 
@@ -239,13 +188,13 @@ def run_episode(config: ScenarioConfig, seed: int | None = None) -> RunResult:
 
         # --- both modes allocate on the same channel draw
         if learned:
-            obs_cnt = build_centralized_observation(channels, users, topology, cap)
+            obs_cnt = build_centralized_observation(channels, cap)
             obs_dst = build_distributed_observations(channels, users, topology, noise_w, cap)
             alloc_cnt, act_cnt = allocate_centralized(
-                cnt_agent, obs_cnt, topology, n_users, rng_cnt, deterministic=not training
+                cnt_agent, obs_cnt, users, topology, cap, rng_cnt, deterministic=not training
             )
             alloc_dst, act_dst = allocate_distributed(
-                dst_agents, obs_dst, topology, n_users, rng_dst, deterministic=not training
+                dst_agents, obs_dst, users, topology, cap, rng_dst, deterministic=not training
             )
         else:
             # one grant scored under both interference models; neither
@@ -309,20 +258,16 @@ def run_episode(config: ScenarioConfig, seed: int | None = None) -> RunResult:
 
         # --- allocator learning (spectral-scale rewards, bandit style)
         if learned and training and n_users > 0:
-            cnt_agent.buffer.push(obs_cnt.padded, act_cnt, rate_cnt_se, obs_cnt.padded, True)
-            _update_allocator(cnt_agent, rng_cnt, cfg.batch_size)
+            cnt_agent.buffer.push(obs_cnt, act_cnt, rate_cnt_se, obs_cnt, True)
+            update_allocator(cnt_agent, rng_cnt, cfg.batch_size)
             per_site_rate = dst_matrix.sum(axis=(1, 2))
             for site in range(b):
                 if act_dst[site] is None:
                     continue
                 dst_agents[site].buffer.push(
-                    obs_dst[site].padded,
-                    act_dst[site],
-                    float(per_site_rate[site]),
-                    obs_dst[site].padded,
-                    True,
+                    obs_dst[site], act_dst[site], float(per_site_rate[site]), obs_dst[site], True
                 )
-                _update_allocator(dst_agents[site], rng_dst[site], cfg.batch_size)
+                update_allocator(dst_agents[site], rng_dst[site], cfg.batch_size)
 
     eval_start = cfg.train_slots if cfg.eval_slots > 0 else 0
     result = RunResult(
@@ -334,7 +279,6 @@ def run_episode(config: ScenarioConfig, seed: int | None = None) -> RunResult:
         records=records,
         eval_start=eval_start,
         aggregates=aggregate_records(records, eval_start),
-        wall_clock_s=time.perf_counter() - start,
     )
     errors = toc_roundtrip_errors(records, weights)
     if errors:

@@ -6,6 +6,8 @@ cannot hide inside its own oracle. Keep this module free of smartran
 imports.
 """
 
+import math
+
 import numpy as np
 
 # ---------------------------------------------------------------------------
@@ -134,6 +136,45 @@ def loop_rate_distributed(h: np.ndarray, p: np.ndarray, rho: np.ndarray,
                 sinr = p[b, u, k] * h[b, u, k] / (noise_w + planning[u])
                 total += np.log2(1.0 + sinr)
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# Action decoding and grant placement, one subcarrier at a time.
+
+
+def loop_decode_place(raw_blocks, members, cap: int, n_users: int,
+                      n_subcarriers: int, p_max_w):
+    """(p, rho) of shape (B, n_users, K) from one raw block per site.
+
+    A block is cap * K user logits then cap * K power scores, row-major
+    over (member slot, subcarrier). On each subcarrier the member with
+    the largest logit wins (the earliest on ties) and is granted under
+    its global row; the winners' scores pass through a softmax scaled to
+    the site's budget. Idle sites grant nothing."""
+    n_rrs = len(members)
+    k = n_subcarriers
+    p = np.zeros((n_rrs, n_users, k))
+    rho = np.zeros((n_rrs, n_users, k), dtype=np.int8)
+    for b in range(n_rrs):
+        raw, rows = raw_blocks[b], members[b]
+        if len(rows) == 0:
+            continue
+        winners = []
+        for j in range(k):
+            best = 0
+            for i in range(1, len(rows)):
+                if raw[i * k + j] > raw[best * k + j]:
+                    best = i
+            winners.append(best)
+        scores = [float(raw[cap * k + winners[j] * k + j]) for j in range(k)]
+        top = max(scores)
+        weights = [math.exp(s - top) for s in scores]
+        total = sum(weights)
+        for j in range(k):
+            row = int(rows[winners[j]])
+            rho[b, row, j] = 1
+            p[b, row, j] = float(p_max_w[b]) * weights[j] / total
+    return p, rho
 
 
 # ---------------------------------------------------------------------------

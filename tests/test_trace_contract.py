@@ -39,5 +39,9 @@ def test_traced_benchmark_instruments_the_episode(monkeypatch):
     totals = tracer.totals()
     assert totals["engine.run_episode"][0] == 2
     assert totals["allocators.allocate_equal_power"][0] == 10
+    # the role hooks read the allocators' first argument: the pool agent
+    # and the list of site agents
     assert totals["learning.sac_update.cnt"][0] > 0
+    assert totals["learning.sac_update.dst"][0] > 0
+    assert totals["allocators.decode_action"][0] > 0
     assert engine.run_episode is original
