@@ -2,8 +2,9 @@
 
 Everything here is written as plain scalar loops (or textbook
 recursions) on purpose: a vectorization or indexing bug in the package
-cannot hide inside its own oracle. Keep this module free of smartran
-imports.
+cannot hide inside its own oracle. The one exception is the dense rate
+section, a bit-exact reference for the package's grant-only rate
+kernels. Keep this module free of smartran imports.
 """
 
 import math
@@ -136,6 +137,44 @@ def loop_rate_distributed(h: np.ndarray, p: np.ndarray, rho: np.ndarray,
                 sinr = p[b, u, k] * h[b, u, k] / (noise_w + planning[u])
                 total += np.log2(1.0 + sinr)
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# Rates over the dense (site, user, subcarrier) tensor. Not loops: the
+# package's grant-only kernels must reproduce these bit for bit, so they
+# keep numpy's dense summation order.
+
+
+def dense_interference_centralized(h: np.ndarray, p: np.ndarray,
+                                   rho: np.ndarray) -> np.ndarray:
+    """(B, U, K) interference at every potential victim link from the
+    other sites' actual grants, minus anything granted to the victim."""
+    pr = p * rho
+    totals = pr.sum(axis=1)
+    contrib = h * (totals[:, None, :] - pr)
+    return contrib.sum(axis=0)[None, :, :] - contrib
+
+
+def dense_rate_centralized(h: np.ndarray, p: np.ndarray, rho: np.ndarray,
+                           noise_w: float) -> float:
+    signal = h * p * rho
+    interference = dense_interference_centralized(h, p, rho)
+    return float(np.log2(1.0 + signal / (noise_w + interference)).sum())
+
+
+def dense_rate_matrix_distributed(h: np.ndarray, p: np.ndarray, rho: np.ndarray,
+                                  members, planning: np.ndarray,
+                                  noise_w: float) -> np.ndarray:
+    """(B, U, K) per-link rates of each site's own users under the
+    planning interference vector (U,)."""
+    rates = np.zeros_like(p)
+    signal = h * p * rho
+    for b, rows in enumerate(members):
+        if len(rows) == 0:
+            continue
+        denom = noise_w + planning[rows]
+        rates[b, rows, :] = np.log2(1.0 + signal[b, rows, :] / denom[:, None])
+    return rates
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import hashlib
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from smartran import engine
+from smartran.cli import make_preset
 from smartran.config import ConfigError, ScenarioConfig
 from smartran.controller import toc_roundtrip_errors
 from smartran.engine import (
@@ -221,7 +223,10 @@ def test_learned_path_records_are_pinned():
     # and an equal-power baseline under churn that empties sites and puts
     # more users on a site than it has subcarriers; the smart digest was
     # taken from the per-layer learning core, the baseline one from the
-    # engine that built one equal-power grant per mode
+    # engine that built one equal-power grant per mode. The 8-site smart
+    # episode (churn idles sites) and the paper-geometry baseline pin the
+    # rate kernels where B >= 8 and at paper scale.
+    paper = make_preset("rate", paper_scale=True)
     cases = [
         (
             _cfg(scheme="smart", learner="sac", n_users=2, train_slots=30, eval_slots=10),
@@ -233,6 +238,20 @@ def test_learned_path_records_are_pinned():
                 arrival_rate=1.2, departure_prob=0.2, max_users=10,
             ),
             "4db6c1d4196f24c6cc1722beee68325532fab2560b97d1fdfd1b64c49c0a712b",
+        ),
+        (
+            _cfg(
+                scheme="smart", learner="sac", rrs_count=8, n_users=12, train_slots=30,
+                eval_slots=10, arrival_rate=1.2, departure_prob=0.2, max_users=20,
+            ),
+            "6f7dac8ec977218255ee59b4b9fcf7d1ceebac51f62dea250730e165b27d4e65",
+        ),
+        (
+            replace(
+                paper.base, scheme="equal-power-baseline", n_users=200, train_slots=0,
+                eval_slots=40, seed=1, **paper.per_count(200),
+            ),
+            "e82fee484dc55d8adc848c077ee2b8d0872e932c5303de045dd5535150b048cd",
         ),
     ]
     for cfg, digest in cases:

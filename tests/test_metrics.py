@@ -17,7 +17,6 @@ from smartran.metrics import (
     complexity_forward_cost,
     distributed_shape,
     equal_share_power,
-    interference_matrix_centralized,
     interference_vector_distributed,
     overhead_centralized,
     overhead_distributed,
@@ -26,7 +25,7 @@ from smartran.metrics import (
     toc_centralized,
     toc_distributed,
 )
-from smartran.netmodel import ChannelTensor
+from smartran.netmodel import ChannelTensor, Topology, UserSet
 
 
 def _random_case(rng, n_rrs=3, n_users=5, n_sub=4):
@@ -98,7 +97,7 @@ def test_equal_share_power():
 def test_interference_matrix_matches_scalar_definition():
     rng = np.random.default_rng(2)
     channels, alloc = _random_case(rng)
-    mat = interference_matrix_centralized(channels, alloc)
+    mat = oracles.dense_interference_centralized(channels.h, alloc.p, alloc.rho)
     n_rrs, n_users, n_sub = channels.h.shape
     for b in range(n_rrs):
         for u in range(n_users):
@@ -160,8 +159,6 @@ def test_planning_interference_excludes_own_site_and_empty_sites():
     channels = ChannelTensor(
         h_large=h_large, h_small=h_small, h=h_large[:, :, None] * h_small
     )
-    from smartran.netmodel import Topology, UserSet
-
     topo = Topology(
         area_radius_m=100.0,
         positions=np.array([[-50.0, 0.0], [50.0, 0.0]]),
@@ -227,6 +224,71 @@ def test_rate_matrix_distributed_zero_off_grant(tiny_net):
     mask = np.ones_like(rates, dtype=bool)
     mask[0, rows[0], 0] = False
     assert np.all(rates[mask] == 0.0)
+
+
+def _grant_case(n_rrs, n_users, n_sub, grants, leak, seed):
+    """Channels, users and a grant that need not be feasible: sites
+    without users, one grant or none, several users on one (site,
+    subcarrier), grants to another site's user, power on ungranted
+    pairs, and gains over eight decades."""
+    rng = np.random.default_rng(seed)
+    shape = (n_rrs, n_users, n_sub)
+    serving = rng.integers(0, n_rrs, n_users)
+    members = [np.flatnonzero(serving == b) for b in range(n_rrs)]
+    rho = np.zeros(shape, dtype=np.int8)
+    if n_users and grants == "owner":  # the allocators' one owner per (site, subcarrier)
+        for b, rows in enumerate(members):
+            if len(rows):
+                rho[b, rng.choice(rows, n_sub), np.arange(n_sub)] = 1
+    elif n_users and grants == "single":
+        rho[tuple(int(rng.integers(0, n)) for n in shape)] = 1
+    else:
+        rho[...] = rng.random(shape) < rng.uniform(0.0, 1.0)
+    p = rng.uniform(0.0, 2.0, shape) * (rho if not leak else 1.0)
+    h_large = 10.0 ** rng.uniform(-6.0, 2.0, (n_rrs, n_users))
+    h_small = rng.exponential(1.0, shape) + 1e-9
+    channels = ChannelTensor(h_large=h_large, h_small=h_small, h=h_large[:, :, None] * h_small)
+    topo = Topology(
+        area_radius_m=100.0,
+        positions=np.zeros((n_rrs, 2)),
+        cell_radii_m=np.full(n_rrs, 50.0),
+        p_max_w=rng.uniform(1.0, 10.0, n_rrs),
+        subcarrier_count=n_sub,
+        bandwidth_hz=1.0,
+    )
+    users = UserSet(
+        ids=np.arange(n_users, dtype=np.int64),
+        positions=np.zeros((n_users, 2)),
+        serving=serving,
+        rrs_members=members,
+        next_id=n_users,
+    )
+    return channels, Allocation(p=p, rho=rho), topo, users, 10.0 ** rng.uniform(-3.0, 0.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    case=st.builds(
+        _grant_case,
+        n_rrs=st.integers(1, 10),
+        n_users=st.integers(0, 12),
+        n_sub=st.integers(1, 5),
+        grants=st.sampled_from(["owner", "single", "random"]),
+        leak=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+)
+def test_grant_only_rates_equal_dense_reference_bitwise(case):
+    channels, alloc, topo, users, noise = case
+    h, p, rho = channels.h, alloc.p, alloc.rho
+    assert rate_total_centralized(channels, alloc, noise) == oracles.dense_rate_centralized(
+        h, p, rho, noise
+    )
+    planning = interference_vector_distributed(channels, topo, users)
+    assert np.array_equal(
+        rate_matrix_distributed(channels, alloc, topo, users, noise),
+        oracles.dense_rate_matrix_distributed(h, p, rho, users.rrs_members, planning, noise),
+    )
 
 
 # ---------------------------------------------------------------------------
