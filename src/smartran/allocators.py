@@ -34,6 +34,7 @@ from .learning import (
     DdpgAgent,
     DqnAgent,
     SacAgent,
+    SacWork,
     ddpg_select_action,
     ddpg_update,
     dqn_select_action,
@@ -139,7 +140,7 @@ def make_allocator(
         lr=cfg.learning_rate,
         gamma=cfg.alloc_discount,
         polyak=cfg.polyak,
-        buffer_capacity=cfg.buffer_capacity,
+        buffer_capacity=cfg.effective_buffer_capacity,
     )
     if kind == "sac":
         return make_sac_agent(
@@ -156,19 +157,27 @@ def make_allocator(
     raise ValueError(f"unknown learner {kind!r}")
 
 
-def update_allocator(agent, rng: np.random.Generator, batch_size: int) -> None:
-    """One gradient step on a replay batch, once the buffer holds one."""
+def update_allocator(
+    agent, rng: np.random.Generator, batch_size: int, work: SacWork | None = None
+) -> SacWork | None:
+    """One gradient step on a replay batch, once the buffer holds one.
+
+    A SAC step samples into and runs on `work`, built here at the first
+    step when None. Returns the work so the caller can pass it to the
+    next update of this agent or of any agent of the same shape."""
     if len(agent.buffer) < batch_size:
-        return
-    batch = agent.buffer.sample(batch_size, rng)
+        return work
     if isinstance(agent, SacAgent):
-        sac_update(agent, batch, rng)
+        if work is None:
+            work = SacWork(agent, batch_size)
+        sac_update(agent, agent.buffer.sample(batch_size, rng, out=work.batch), rng, work)
     elif isinstance(agent, DqnAgent):
-        dqn_update(agent, batch)
+        dqn_update(agent, agent.buffer.sample(batch_size, rng))
     elif isinstance(agent, DdpgAgent):
-        ddpg_update(agent, batch)
+        ddpg_update(agent, agent.buffer.sample(batch_size, rng))
     else:
         raise TypeError(f"unsupported allocator agent {type(agent).__name__}")
+    return work
 
 
 def _select_raw(

@@ -127,6 +127,12 @@ class ScenarioConfig:
         return self.complexity_episodes if self.complexity_episodes > 0 else self.train_slots
 
     @property
+    def effective_buffer_capacity(self) -> int:
+        # each training slot pushes at most one transition per agent, so
+        # a ring longer than train_slots would never fill
+        return max(1, min(self.buffer_capacity, self.train_slots))
+
+    @property
     def total_slots(self) -> int:
         return self.train_slots + self.eval_slots
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .learning import SacAgent, SacLosses, sac_select_action, sac_update
+from .learning import SacAgent, SacLosses, SacWork, sac_select_action, sac_update
 from .metrics import Mode, TocWeights, toc_centralized, toc_distributed
 
 
@@ -215,6 +215,7 @@ class SdnController:
         self.batch_size = batch_size
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
         self._records_seen = 0
+        self._work: SacWork | None = None  # built at the first update
 
     def build_state(self) -> np.ndarray:
         return build_sdn_state(self.memory, self.rrs_count, self.max_users, self.norm)
@@ -249,8 +250,10 @@ class SdnController:
         """One SAC step when the buffer can fill a batch."""
         if len(self.agent.buffer) < self.batch_size:
             return None
-        batch = self.agent.buffer.sample(self.batch_size, rng)
-        return sac_update(self.agent, batch, rng)
+        if self._work is None:
+            self._work = SacWork(self.agent, self.batch_size)
+        batch = self.agent.buffer.sample(self.batch_size, rng, out=self._work.batch)
+        return sac_update(self.agent, batch, rng, self._work)
 
 
 def expected_toc_fields(record: SlotRecord, weights: TocWeights) -> tuple[float, float]:

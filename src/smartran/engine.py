@@ -155,7 +155,7 @@ def run_episode(config: ScenarioConfig, seed: int | None = None) -> RunResult:
             gamma=cfg.sdn_discount,
             polyak=cfg.polyak,
             init_alpha=cfg.init_temperature,
-            buffer_capacity=cfg.buffer_capacity,
+            buffer_capacity=cfg.effective_buffer_capacity,
         )
         controller = SdnController(
             agent=sdn_agent,
@@ -168,6 +168,9 @@ def run_episode(config: ScenarioConfig, seed: int | None = None) -> RunResult:
             batch_size=cfg.batch_size,
         )
 
+    # SAC update buffers, built at the first update: one for the pool
+    # agent, one shared by the same-shape site agents
+    cnt_work = dst_work = None
     records: list[SlotRecord] = []
     traffic_on = cfg.arrival_rate > 0.0 or cfg.departure_prob > 0.0
 
@@ -259,7 +262,7 @@ def run_episode(config: ScenarioConfig, seed: int | None = None) -> RunResult:
         # --- allocator learning (spectral-scale rewards, bandit style)
         if learned and training and n_users > 0:
             cnt_agent.buffer.push(obs_cnt, act_cnt, rate_cnt_se, obs_cnt, True)
-            update_allocator(cnt_agent, rng_cnt, cfg.batch_size)
+            cnt_work = update_allocator(cnt_agent, rng_cnt, cfg.batch_size, cnt_work)
             per_site_rate = dst_matrix.sum(axis=(1, 2))
             for site in range(b):
                 if act_dst[site] is None:
@@ -267,7 +270,9 @@ def run_episode(config: ScenarioConfig, seed: int | None = None) -> RunResult:
                 dst_agents[site].buffer.push(
                     obs_dst[site], act_dst[site], float(per_site_rate[site]), obs_dst[site], True
                 )
-                update_allocator(dst_agents[site], rng_dst[site], cfg.batch_size)
+                dst_work = update_allocator(
+                    dst_agents[site], rng_dst[site], cfg.batch_size, dst_work
+                )
 
     eval_start = cfg.train_slots if cfg.eval_slots > 0 else 0
     result = RunResult(

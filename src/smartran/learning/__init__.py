@@ -14,20 +14,33 @@ Updates do only the work whose result they use: the backward forms
 parameter gradients or input gradients only where asked, and when every
 sampled transition has zero discount (a contextual bandit, as the
 allocators are) sac_update skips the next-state target forwards; the
-Polyak blends and its next-state noise draw still run. None of this
-changes a single float of the results.
+Polyak blends and its next-state noise draw still run. sac_update
+writes every batch- or arena-sized intermediate into a SacWork that
+callers keep across updates (and share between same-shape agents), so
+a steady update allocates none. None of this changes a single float of
+the results.
 """
 
-from .mlp import Mlp, MlpCache, mlp_init, mlp_forward, mlp_forward_cached, mlp_gradient, polyak_update
+from .mlp import (
+    Mlp,
+    MlpBuffers,
+    MlpCache,
+    mlp_init,
+    mlp_forward,
+    mlp_forward_cached,
+    mlp_gradient,
+    polyak_update,
+)
 from .adam import AdamState, adam_init, adam_step, apply_gradients
 from .replay import ReplayBuffer, TransitionBatch
-from .sac import SacAgent, SacLosses, make_sac_agent, sac_select_action, sac_update
+from .sac import SacAgent, SacLosses, SacWork, make_sac_agent, sac_select_action, sac_update
 from .dqn import DqnAgent, make_dqn_agent, dqn_select_action, dqn_update
 from .ddpg import DdpgAgent, make_ddpg_agent, ddpg_select_action, ddpg_update
 from .snapshot import save_agent, load_agent, mlp_to_dict, mlp_from_dict
 
 __all__ = [
     "Mlp",
+    "MlpBuffers",
     "MlpCache",
     "mlp_init",
     "mlp_forward",
@@ -42,6 +55,7 @@ __all__ = [
     "TransitionBatch",
     "SacAgent",
     "SacLosses",
+    "SacWork",
     "make_sac_agent",
     "sac_select_action",
     "sac_update",

@@ -2,12 +2,14 @@
 
 A learner passes each network as a one-entry list holding its arena
 vector (Mlp.flat) and gets one step per network: in-place ufuncs on
-flat first and second moments, with two transient scratch vectors that
-are not kept between steps. Each array is stepped as a flat view, in
+flat first and second moments. Each array is stepped as a flat view, in
 blocks of _BLOCK entries, so each block's parameters, gradient, moments
 and scratch stay in cache across the dozen ufunc passes of a step. The
-per-element arithmetic is the textbook one, in the textbook order, for
-any list layout and block size.
+two _BLOCK-entry scratch vectors are built at the first step and shared
+by every later step and by mlp.polyak_update, in this process; they
+carry nothing from one call to the next, and the package runs no two
+updates at once. The per-element arithmetic is the textbook one, in the
+textbook order, for any list layout and block size.
 """
 
 from __future__ import annotations
@@ -21,6 +23,16 @@ import numpy as np
 # 139 k-entry actor arena per pass is not; stepping by blocks halved
 # adam_step on such an arena there
 _BLOCK = 32_768
+
+_scratch: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def block_scratch() -> tuple[np.ndarray, np.ndarray]:
+    """Two scratch vectors of at least _BLOCK entries, built once."""
+    global _scratch
+    if _scratch is None or _scratch[0].size < _BLOCK:
+        _scratch = (np.empty(_BLOCK), np.empty(_BLOCK))
+    return _scratch
 
 
 @dataclass
@@ -70,11 +82,10 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
     state.step += 1
     b1c = 1.0 - state.beta1**state.step
     b2c = 1.0 - state.beta2**state.step
+    scratch1, scratch2 = block_scratch()
     for p, g, m, v in zip(params, grads, state.m, state.v):
         # views, not copies: parameters and moments are C-contiguous
         p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-        scratch1 = np.empty(min(p.size, _BLOCK))
-        scratch2 = np.empty_like(scratch1)
         for lo in range(0, p.size, _BLOCK):
             hi = lo + _BLOCK
             n = min(hi, p.size) - lo

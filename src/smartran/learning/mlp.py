@@ -9,15 +9,22 @@ out as [W0 (row-major), b0, W1, b1, ...]; weights[i] and biases[i] are
 views into it. Parameter gradients use the same layout, so Adam,
 Polyak blends and snapshots touch one vector per network.
 
-mlp_gradient consumes the cache produced by mlp_forward_cached and an
-upstream gradient dL/dy. By default it returns both the parameter
-gradients (in the same flat order as Mlp.params()) and dL/dx. Keyword
-arguments ask for only what a caller uses: the parameter gradients as
-one arena vector or not at all, and dL/dx or not (skipping the layer-0
-input product). Hidden-layer derivatives reuse the activations the
-forward cached. Caches are stamped with the network's version counter;
-any in-place parameter update bumps the counter, so a stale cache
-cannot silently produce wrong gradients.
+mlp_forward_cached writes each layer's pre-activation and hidden
+activation into an MlpBuffers set: the caller's, so that a learner
+reuses one set update after update, or a fresh one. mlp_gradient
+consumes the cache that forward returns and an upstream gradient dL/dy.
+By default it returns both the parameter gradients (in the same flat
+order as Mlp.params()) and dL/dx. Keyword arguments ask for only what a
+caller uses: the parameter gradients as one arena vector or not at all,
+and dL/dx or not (skipping the layer-0 input product), and give the
+arrays to write them into. Hidden-layer derivatives reuse the
+activations the forward cached.
+
+Two guards keep a cache from silently producing wrong gradients. A
+cache is stamped with the network's version counter, which any in-place
+parameter update bumps. It also records the stamp its forward gave its
+MlpBuffers; every forward into the same buffers stamps them again, so
+mlp_gradient rejects a cache whose buffers a later forward overwrote.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import adam
 
 _ACTIVATIONS = ("tanh", "relu")
 
@@ -108,19 +117,33 @@ def mlp_init(
     return net
 
 
+class MlpBuffers:
+    """Forward outputs for one network shape at one batch size: each
+    layer's pre-activation z_i and each hidden layer's activation.
+    stamp counts the forwards written into them."""
+
+    def __init__(self, layer_sizes, batch: int):
+        sizes = tuple(int(s) for s in layer_sizes)
+        self.preacts = [np.empty((batch, s)) for s in sizes[1:]]
+        self.acts = [np.empty((batch, s)) for s in sizes[1:-1]]
+        self.stamp = 0
+
+
 @dataclass
 class MlpCache:
     inputs: list[np.ndarray]  # a_0 .. a_{L-1}: input to each layer, 2-D
     preacts: list[np.ndarray]  # z_0 .. z_{L-1}
     version: int
     squeezed: bool  # original input was 1-D
+    buffers: MlpBuffers  # holds preacts and the hidden inputs
+    stamp: int  # buffers.stamp right after this cache's forward
     batch: int = field(default=0)
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
+def _act(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if name == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+        return np.tanh(z, out=out)
+    return np.maximum(z, 0.0, out=out)
 
 
 def _act_deriv(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -152,21 +175,30 @@ def mlp_forward(net: Mlp, x) -> np.ndarray:
     return a[0] if squeezed else a
 
 
-def mlp_forward_cached(net: Mlp, x) -> tuple[np.ndarray, MlpCache]:
-    """Forward pass that records layer inputs for a later backward."""
+def mlp_forward_cached(net: Mlp, x, out: MlpBuffers | None = None) -> tuple[np.ndarray, MlpCache]:
+    """Forward pass that records layer inputs for a later backward.
+
+    Every layer writes into `out` (fresh buffers when None), so the
+    returned output and the cache are views of it until the next forward
+    into the same buffers. The input x is referenced, not copied."""
     a, squeezed = _as_batch(net, x)
-    inputs, preacts = [], []
+    if out is None:
+        out = MlpBuffers(net.layer_sizes, a.shape[0])
+    out.stamp += 1
+    inputs = []
     last = net.n_layers - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         inputs.append(a)
-        z = a @ w.T + b
-        preacts.append(z)
-        a = z if i == last else _act(net.activation, z)
+        z = np.matmul(a, w.T, out=out.preacts[i])
+        z += b
+        a = z if i == last else _act(net.activation, z, out.acts[i])
     cache = MlpCache(
         inputs=inputs,
-        preacts=preacts,
+        preacts=out.preacts,
         version=net.version,
         squeezed=squeezed,
+        buffers=out,
+        stamp=out.stamp,
         batch=a.shape[0],
     )
     return (a[0] if squeezed else a), cache
@@ -179,6 +211,8 @@ def mlp_gradient(
     *,
     params: str | None = "layers",
     input_grad: bool = True,
+    out: np.ndarray | None = None,
+    input_out: np.ndarray | None = None,
 ):
     """Backward pass.
 
@@ -191,10 +225,19 @@ def mlp_gradient(
     gradients and returns None in their place. input_grad=False skips
     dL/dx, and the layer-0 product behind it, and returns None in its
     place.
+
+    out is an arena-sized vector that receives the parameter gradients
+    (every mode returns views of it) and input_out a (batch, input size)
+    array that receives dL/dx; fresh ones are used when None.
     """
     if cache.version != net.version:
         raise ValueError(
             f"stale cache: built at version {cache.version}, network now {net.version}"
+        )
+    if cache.stamp != cache.buffers.stamp:
+        raise ValueError(
+            f"stale cache: its buffers were overwritten by a later forward "
+            f"(stamp {cache.stamp}, buffers now {cache.buffers.stamp})"
         )
     if params not in ("layers", "flat", None):
         raise ValueError("params must be 'layers', 'flat' or None")
@@ -206,7 +249,7 @@ def mlp_gradient(
             f"grad_output shape {np.asarray(grad_output).shape} does not match output"
         )
     if params is not None:
-        gflat = np.empty_like(net.flat)
+        gflat = np.empty_like(net.flat) if out is None else out
         gweights, gbiases = _layer_views(net.layer_sizes, gflat)
     delta = g
     grad_input = None
@@ -219,7 +262,7 @@ def mlp_gradient(
             delta = delta @ net.weights[i]
             delta = delta * _act_deriv(net.activation, cache.preacts[i - 1], cache.inputs[i])
         elif input_grad:
-            grad_input = delta @ net.weights[0]
+            grad_input = np.matmul(delta, net.weights[0], out=input_out)
             if cache.squeezed:
                 grad_input = grad_input[0]
     if params == "flat":
@@ -231,12 +274,18 @@ def mlp_gradient(
 
 def polyak_update(target: Mlp, online: Mlp, rho: float) -> None:
     """Blend the online net into the target in place:
-    target <- rho * online + (1 - rho) * target, as one vector blend
-    over the arenas. rho = 1 copies."""
+    target <- rho * online + (1 - rho) * target, over the arenas in
+    blocks of adam._BLOCK entries on Adam's shared scratch. rho = 1
+    copies."""
     if not (0.0 <= rho <= 1.0):
         raise ValueError("rho must be in [0, 1]")
     if target.layer_sizes != online.layer_sizes:
         raise ValueError("mismatched architectures")
-    target.flat *= 1.0 - rho
-    target.flat += rho * online.flat
+    scratch, _ = adam.block_scratch()
+    t, o = target.flat, online.flat
+    for lo in range(0, t.size, adam._BLOCK):
+        tb, ob = t[lo : lo + adam._BLOCK], o[lo : lo + adam._BLOCK]
+        blend = np.multiply(ob, rho, out=scratch[: ob.size])
+        tb *= 1.0 - rho
+        tb += blend
     target.bump()

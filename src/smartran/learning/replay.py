@@ -2,7 +2,8 @@
 
 Storage is allocated lazily from the first transition's shapes; pushes
 past capacity overwrite the oldest entry. Sampling is uniform with
-replacement from the stored prefix using the caller's Generator.
+replacement from the stored prefix using the caller's Generator, into
+the caller's TransitionBatch or a fresh one.
 """
 
 from __future__ import annotations
@@ -61,16 +62,22 @@ class ReplayBuffer:
         self._head = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> TransitionBatch:
+    def sample(
+        self, batch_size: int, rng: np.random.Generator, out: TransitionBatch | None = None
+    ) -> TransitionBatch:
+        """batch_size rows drawn uniformly with replacement, written into
+        out (whose arrays must have exactly the batch's shapes) or into a
+        fresh batch. Returns the batch written."""
         if self._size == 0:
             raise ValueError("cannot sample from an empty buffer")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         idx = rng.integers(0, self._size, size=batch_size)
-        return TransitionBatch(
-            states=self._states[idx].copy(),
-            actions=self._actions[idx].copy(),
-            rewards=self._rewards[idx].copy(),
-            next_states=self._next_states[idx].copy(),
-            dones=self._dones[idx].copy(),
-        )
+        rows = (self._states, self._actions, self._rewards, self._next_states, self._dones)
+        if out is None:
+            out = TransitionBatch(*(np.empty((batch_size, *r.shape[1:])) for r in rows))
+        # every index is in range, so "clip" never clips; the default
+        # "raise" would gather into a temporary and then copy it to out
+        for r, dst in zip(rows, (out.states, out.actions, out.rewards, out.next_states, out.dones)):
+            np.take(r, idx, axis=0, mode="clip", out=dst)
+        return out

@@ -29,6 +29,12 @@ target is the reward alone. sac_update then skips the next-state actor
 pass and both target-critic forwards, but still draws the next-state
 noise so the caller's Generator advances exactly as on the full path.
 The Polyak blends of the targets run either way.
+
+Work buffers: every batch- or arena-sized intermediate of sac_update
+lives in a SacWork, which a caller builds once and passes to every
+update of agents of one shape; sac_update builds a fresh one when given
+none. The buffered math performs the same float operations in the same
+order as the formulas above, so the results do not depend on it.
 """
 
 from __future__ import annotations
@@ -38,7 +44,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adam import AdamState, adam_init, adam_step, apply_gradients
-from .mlp import Mlp, mlp_forward, mlp_forward_cached, mlp_gradient, mlp_init, polyak_update
+from .mlp import (
+    Mlp,
+    MlpBuffers,
+    mlp_forward,
+    mlp_forward_cached,
+    mlp_gradient,
+    mlp_init,
+    polyak_update,
+)
 from .replay import ReplayBuffer, TransitionBatch
 
 LOG_STD_MIN = -20.0
@@ -126,26 +140,88 @@ def make_sac_agent(
     )
 
 
-def _policy_stats(agent: SacAgent, states: np.ndarray):
-    """Actor forward returning (mu, clamped log_std, clamp mask, cache)."""
-    out, cache = mlp_forward_cached(agent.actor, states)
+class SacWork:
+    """Reusable buffers for sac_update at one shape: the actor and
+    critic layer sizes and the batch size n. Agents of one shape that
+    are updated one after another can share a SacWork; each update
+    overwrites all of it.
+
+    batch receives ReplayBuffer.sample(..., out=work.batch). sa holds
+    the (state, action) rows: the sampled actions for the critic
+    regression, then the policy's for the actor path. grads is one
+    gradient arena, sized for the largest network and used by critic1,
+    critic2 and the actor in turn. The rest is noise, policy scratch,
+    the networks' forward buffers and the critics' input gradients.
+    """
+
+    def __init__(self, agent: SacAgent, n: int):
+        ds, da = agent.state_dim, agent.action_dim
+        self.shape = _work_shape(agent, n)
+        self.batch = TransitionBatch(
+            states=np.empty((n, ds)),
+            actions=np.empty((n, da)),
+            rewards=np.empty(n),
+            next_states=np.empty((n, ds)),
+            dones=np.empty(n),
+        )
+        self.sa = np.empty((n, ds + da))
+        self.eps = np.empty((n, da))
+        self.log_std, self.sigma, self.a, self.one_minus_a2, self.tmp, self.tmp2 = (
+            np.empty((n, da)) for _ in range(6)
+        )
+        self.active = np.empty((n, da), dtype=bool)
+        self.below = np.empty((n, da), dtype=bool)
+        self.upstream = np.empty((n, 2 * da))
+        self.actor = MlpBuffers(agent.actor.layer_sizes, n)
+        self.critics = (
+            MlpBuffers(agent.critic1.layer_sizes, n),
+            MlpBuffers(agent.critic2.layer_sizes, n),
+        )
+        self.gin = (np.empty((n, ds + da)), np.empty((n, ds + da)))
+        self.grads = np.empty(
+            max(agent.actor.flat.size, agent.critic1.flat.size, agent.critic2.flat.size)
+        )
+
+
+def _work_shape(agent: SacAgent, n: int) -> tuple:
+    return (agent.actor.layer_sizes, agent.critic1.layer_sizes, agent.critic2.layer_sizes, n)
+
+
+def _squash(mu, log_std, eps, sigma=None, a=None):
+    """a = tanh(mu + sigma * eps) with sigma = exp(log_std), written into
+    the given buffers (fresh ones when None). Returns (a, sigma)."""
+    sigma = np.exp(log_std, out=sigma)
+    a = np.multiply(sigma, eps, out=a)
+    a += mu
+    np.tanh(a, out=a)
+    return a, sigma
+
+
+def _sample_policy(agent: SacAgent, states: np.ndarray, rng: np.random.Generator, work: SacWork):
+    """Actor forward at states, then a squashed reparameterized sample.
+    Leaves the clamped log_std, its clamp mask (active), the noise, sigma,
+    the action a and 1 - a^2 in work; returns (log pi(a|s), actor cache)."""
+    out, cache = mlp_forward_cached(agent.actor, states, out=work.actor)
     d = agent.action_dim
     mu = out[:, :d]
     raw = out[:, d:]
-    log_std = np.clip(raw, LOG_STD_MIN, LOG_STD_MAX)
-    active = ((raw > LOG_STD_MIN) & (raw < LOG_STD_MAX)).astype(np.float64)
-    return mu, log_std, active, cache
-
-
-def _squash(mu: np.ndarray, log_std: np.ndarray, eps: np.ndarray):
-    """Sample a = tanh(mu + sigma*eps) and its log-likelihood."""
-    sigma = np.exp(log_std)
-    u = mu + sigma * eps
-    a = np.tanh(u)
-    logp = (
-        -0.5 * eps * eps - log_std - _HALF_LOG_2PI - np.log(1.0 - a * a + SQUASH_EPS)
-    ).sum(axis=1)
-    return a, logp, sigma
+    np.clip(raw, LOG_STD_MIN, LOG_STD_MAX, out=work.log_std)
+    np.greater(raw, LOG_STD_MIN, out=work.active)
+    np.less(raw, LOG_STD_MAX, out=work.below)
+    work.active &= work.below
+    rng.standard_normal(out=work.eps)
+    a, _ = _squash(mu, work.log_std, work.eps, work.sigma, work.a)
+    # -eps^2/2 - log_std - log(2 pi)/2 - log(1 - a^2 + SQUASH_EPS), summed
+    terms = np.multiply(work.eps, -0.5, out=work.tmp)
+    terms *= work.eps
+    terms -= work.log_std
+    terms -= _HALF_LOG_2PI
+    np.multiply(a, a, out=work.one_minus_a2)
+    np.subtract(1.0, work.one_minus_a2, out=work.one_minus_a2)
+    log_term = np.add(work.one_minus_a2, SQUASH_EPS, out=work.tmp2)
+    np.log(log_term, out=log_term)
+    terms -= log_term
+    return terms.sum(axis=1), cache
 
 
 def sac_select_action(
@@ -163,65 +239,88 @@ def sac_select_action(
         return np.tanh(mu)[0]
     log_std = np.clip(out[:, d:], LOG_STD_MIN, LOG_STD_MAX)
     eps = rng.standard_normal(mu.shape)
-    a, _, _ = _squash(mu, log_std, eps)
+    a, _ = _squash(mu, log_std, eps)
     return a[0]
 
 
-def sac_update(agent: SacAgent, batch: TransitionBatch, rng: np.random.Generator) -> SacLosses:
+def sac_update(
+    agent: SacAgent,
+    batch: TransitionBatch,
+    rng: np.random.Generator,
+    work: SacWork | None = None,
+) -> SacLosses:
     """One gradient step on critics, actor, and temperature, then a
-    Polyak blend of the targets. Raises on non-finite losses."""
+    Polyak blend of the targets. Runs on `work` (fresh buffers when
+    None), which may hold the batch itself. Raises on non-finite
+    losses."""
     n = batch.states.shape[0]
+    if work is None:
+        work = SacWork(agent, n)
+    elif work.shape != _work_shape(agent, n):
+        raise ValueError("work buffers were built for another agent shape or batch size")
     alpha = agent.alpha
+    ds, d = agent.state_dim, agent.action_dim
+    sa = work.sa
 
     # --- critic targets from the squashed policy at the next state
     discount = agent.gamma * (1.0 - batch.dones)
     if np.any(discount):
-        mu2, log_std2, _, _ = _policy_stats(agent, batch.next_states)
-        eps2 = rng.standard_normal(mu2.shape)
-        a2, logp2, _ = _squash(mu2, log_std2, eps2)
-        sa2 = np.concatenate([batch.next_states, a2], axis=1)
-        q1t = mlp_forward(agent.target1, sa2)[:, 0]
-        q2t = mlp_forward(agent.target2, sa2)[:, 0]
+        logp2, _ = _sample_policy(agent, batch.next_states, rng, work)
+        sa[:, :ds] = batch.next_states
+        sa[:, ds:] = work.a
+        q1t = mlp_forward(agent.target1, sa)[:, 0]
+        q2t = mlp_forward(agent.target2, sa)[:, 0]
         y = batch.rewards + discount * (np.minimum(q1t, q2t) - alpha * logp2)
     else:  # bandit: the target is the reward; keep the noise draw
-        rng.standard_normal((n, agent.action_dim))
+        rng.standard_normal(out=work.eps)
         y = batch.rewards
 
     # --- twin critic regression
-    sa = np.concatenate([batch.states, batch.actions], axis=1)
+    sa[:, :ds] = batch.states
+    sa[:, ds:] = batch.actions
     losses = []
-    for critic, opt in ((agent.critic1, agent.critic1_opt), (agent.critic2, agent.critic2_opt)):
-        q, cache = mlp_forward_cached(critic, sa)
+    for critic, opt, buffers in (
+        (agent.critic1, agent.critic1_opt, work.critics[0]),
+        (agent.critic2, agent.critic2_opt, work.critics[1]),
+    ):
+        q, cache = mlp_forward_cached(critic, sa, out=buffers)
         diff = q[:, 0] - y
         losses.append(float(np.mean(diff * diff)))
         grads, _ = mlp_gradient(
-            critic, (2.0 * diff / n)[:, None], cache, params="flat", input_grad=False
+            critic, (2.0 * diff / n)[:, None], cache, params="flat", input_grad=False,
+            out=work.grads[: critic.flat.size],
         )
         apply_gradients(critic, opt, grads)
 
     # --- actor: fresh reparameterized sample through the updated critics
-    mu, log_std, active, actor_cache = _policy_stats(agent, batch.states)
-    eps = rng.standard_normal(mu.shape)
-    a, logp, sigma = _squash(mu, log_std, eps)
-    sa_pi = np.concatenate([batch.states, a], axis=1)
-    q1, c1 = mlp_forward_cached(agent.critic1, sa_pi)
-    q2, c2 = mlp_forward_cached(agent.critic2, sa_pi)
+    logp, actor_cache = _sample_policy(agent, batch.states, rng, work)
+    sa[:, ds:] = work.a  # the state columns still hold batch.states
+    q1, c1 = mlp_forward_cached(agent.critic1, sa, out=work.critics[0])
+    q2, c2 = mlp_forward_cached(agent.critic2, sa, out=work.critics[1])
     qmin = np.minimum(q1[:, 0], q2[:, 0])
     actor_loss = float(np.mean(alpha * logp - qmin))
 
     take1 = (q1[:, 0] <= q2[:, 0]).astype(np.float64)[:, None]
-    _, gin1 = mlp_gradient(agent.critic1, -take1 / n, c1, params=None)
-    _, gin2 = mlp_gradient(agent.critic2, -(1.0 - take1) / n, c2, params=None)
-    dl_da = (gin1 + gin2)[:, agent.state_dim :]  # dL/da, already averaged
+    _, gin1 = mlp_gradient(agent.critic1, -take1 / n, c1, params=None, input_out=work.gin[0])
+    _, gin2 = mlp_gradient(
+        agent.critic2, -(1.0 - take1) / n, c2, params=None, input_out=work.gin[1]
+    )
+    dl_da = gin1[:, ds:]  # dL/da, already averaged
+    dl_da += gin2[:, ds:]
 
-    one_minus_a2 = 1.0 - a * a
-    dlogp_du = 2.0 * a * one_minus_a2 / (one_minus_a2 + SQUASH_EPS)
-    g_u = (alpha / n) * dlogp_du + dl_da * one_minus_a2
-    g_mu = g_u
-    g_log_std = (-alpha / n) + g_u * sigma * eps
-    upstream = np.concatenate([g_mu, g_log_std * active], axis=1)
+    a, one_minus_a2 = work.a, work.one_minus_a2
+    dlogp_du = np.multiply(a, 2.0, out=work.tmp)
+    dlogp_du *= one_minus_a2
+    dlogp_du /= np.add(one_minus_a2, SQUASH_EPS, out=work.tmp2)
+    g_u = np.multiply(dlogp_du, alpha / n, out=work.upstream[:, :d])  # = g_mu
+    g_u += np.multiply(dl_da, one_minus_a2, out=work.tmp2)
+    g_log_std = np.multiply(g_u, work.sigma, out=work.upstream[:, d:])
+    g_log_std *= work.eps
+    g_log_std += -alpha / n
+    g_log_std *= work.active
     actor_grads, _ = mlp_gradient(
-        agent.actor, upstream, actor_cache, params="flat", input_grad=False
+        agent.actor, work.upstream, actor_cache, params="flat", input_grad=False,
+        out=work.grads[: agent.actor.flat.size],
     )
     apply_gradients(agent.actor, agent.actor_opt, actor_grads)
 

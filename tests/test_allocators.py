@@ -493,3 +493,18 @@ def test_trained_distributed_agents_pick_their_strong_users():
         for b in range(2):
             picks[b] += int(alloc.rho[b, strong_row[b], 0] == 1)
     assert min(picks) >= 90, f"strong-user picks per site: {picks}"
+
+
+def test_paper_scale_pool_agent_reserves_at_most_train_slots_rows():
+    from dataclasses import replace
+
+    from smartran.cli import make_preset
+
+    preset = make_preset("rate", paper_scale=True)
+    n = preset.counts[-1]
+    # one hidden unit keeps the networks small; the buffer ignores them
+    cfg = replace(preset.base, n_users=n, hidden_sizes=(1,), **preset.per_count(n))
+    b, cap, k = cfg.rrs_count, cfg.effective_max_users, cfg.subcarriers
+    agent = make_allocator("sac", b * cap * k, 2 * b * cap * k, np.random.default_rng(0), cfg)
+    assert cfg.buffer_capacity > cfg.train_slots
+    assert agent.buffer.capacity <= cfg.train_slots

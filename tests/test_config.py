@@ -176,3 +176,9 @@ def test_effective_draw_capacity_and_agent_seed():
 def test_effective_complexity_episodes():
     assert ScenarioConfig(train_slots=123).effective_complexity_episodes == 123
     assert ScenarioConfig(train_slots=123, complexity_episodes=7).effective_complexity_episodes == 7
+
+
+def test_effective_buffer_capacity_never_exceeds_the_pushes_a_run_makes():
+    assert ScenarioConfig(train_slots=200).effective_buffer_capacity == 200
+    assert ScenarioConfig(train_slots=200, buffer_capacity=50).effective_buffer_capacity == 50
+    assert ScenarioConfig(train_slots=0, eval_slots=10).effective_buffer_capacity == 1

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
+from smartran.allocators import update_allocator
 from smartran.learning import (
+    MlpBuffers,
     ReplayBuffer,
+    TransitionBatch,
     adam_init,
     adam_step,
     apply_gradients,
@@ -61,6 +64,23 @@ def test_gradient_rejects_stale_cache():
     apply_gradients(net, opt, grads)
     with pytest.raises(ValueError, match="stale cache"):
         mlp_gradient(net, np.ones(1), cache)
+
+
+def test_gradient_rejects_cache_whose_buffers_were_overwritten():
+    rng = np.random.default_rng(3)
+    net = mlp_init((3, 5, 2), rng)
+    x1, x2 = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+    buffers = MlpBuffers(net.layer_sizes, 4)
+    _, first = mlp_forward_cached(net, x1, out=buffers)
+    _, second = mlp_forward_cached(net, x2, out=buffers)
+    g = rng.standard_normal((4, 2))
+    with pytest.raises(ValueError, match="stale cache"):
+        mlp_gradient(net, g, first)
+    # the live cache gives exactly what a fresh forward would
+    _, alone = mlp_forward_cached(net, x2)
+    got, want = mlp_gradient(net, g, second), mlp_gradient(net, g, alone)
+    for a, b in zip(got[0] + [got[1]], want[0] + [want[1]]):
+        assert np.array_equal(a, b)
 
 
 def test_final_scale_shrinks_output_layer_only():
@@ -139,6 +159,44 @@ def test_replay_fifo_eviction_and_sampling():
     assert set(np.unique(batch.rewards)).issubset({2.0, 3.0, 4.0, 5.0})
     assert batch.states.shape == (64, 1)
     assert batch.dones.shape == (64,)
+
+
+def test_replay_sample_into_caller_batch_matches_fresh_rows():
+    buf = ReplayBuffer(capacity=8)
+    data = np.random.default_rng(8)
+    for _ in range(8):
+        buf.push(data.standard_normal(3), data.standard_normal(2), data.standard_normal(),
+                 data.standard_normal(3), bool(data.random() < 0.5))
+    fields = ("states", "actions", "rewards", "next_states", "dones")
+    fresh = buf.sample(16, np.random.default_rng(9))
+    out = TransitionBatch(*(np.full_like(getattr(fresh, f), np.nan) for f in fields))
+    assert buf.sample(16, np.random.default_rng(9), out=out) is out
+    idx = np.random.default_rng(9).integers(0, 8, size=16)
+    for f in fields:
+        assert np.array_equal(getattr(out, f), getattr(fresh, f))
+        assert np.array_equal(getattr(fresh, f), getattr(buf, "_" + f)[idx])
+    with pytest.raises(ValueError):
+        buf.sample(15, np.random.default_rng(9), out=out)
+
+
+def test_steady_sac_updates_do_not_refault_memory():
+    # the pool agent's shape on the sites-8 benchmark: 8 sites x 18 users
+    # x 4 subcarriers, batch 64; every update reuses one SacWork
+    resource = pytest.importorskip("resource")
+    state_dim, action_dim, n = 576, 1152, 64
+    rng = np.random.default_rng(10)
+    agent = make_sac_agent(state_dim, action_dim, rng, gamma=0.0, buffer_capacity=n)
+    for _ in range(n):
+        s = rng.standard_normal(state_dim)
+        agent.buffer.push(s, rng.uniform(-1.0, 1.0, action_dim), rng.standard_normal(), s, True)
+    work = None
+    for _ in range(3):
+        work = update_allocator(agent, rng, n, work)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        work = update_allocator(agent, rng, n, work)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 2000, f"{faults} minor faults in 20 steady updates"
 
 
 def test_replay_rejects_shape_drift():

@@ -1,8 +1,9 @@
 """The arena learning core against the per-layer reference in oracles.
 
-The arena layout, the in-place Adam, the one-sided backward and the
-SAC bandit skip keep every per-element float operation of the
-per-layer code, in the same order, so every comparison here is exact.
+The arena layout, the in-place Adam, the one-sided backward, the SAC
+bandit skip and the reusable work buffers keep every per-element float
+operation of the per-layer code, in the same order, so every comparison
+here is exact.
 """
 
 from unittest import mock
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 import oracles
 from smartran.learning import adam
 from smartran.learning import (
+    ReplayBuffer,
+    SacWork,
     TransitionBatch,
     adam_init,
     adam_step,
@@ -23,6 +26,7 @@ from smartran.learning import (
     mlp_forward_cached,
     mlp_gradient,
     mlp_init,
+    polyak_update,
     sac_update,
 )
 
@@ -212,3 +216,109 @@ def test_bandit_skip_equals_the_full_target_path():
         if name not in targets:
             assert np.array_equal(getattr(fast, name).flat, getattr(full, name).flat)
     assert np.array_equal(rng_fast.standard_normal(4), rng_full.standard_normal(4))
+
+
+@SETTINGS
+@given(
+    state_dim=width,
+    action_dim=st.integers(1, 3) | st.integers(4, 40),
+    hidden=st.lists(width, min_size=1, max_size=2).map(tuple),
+    n=width,
+    gamma=st.sampled_from([0.0, 0.99]),
+    done_mix=st.sampled_from(["all", "none", "mixed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_agents_sharing_one_work_match_fresh_work_and_reference(
+    state_dim, action_dim, hidden, n, gamma, done_mix, seed
+):
+    # two same-shape agents updated in turn through one SacWork, as the
+    # engine updates its site agents, sampling into the work's batch
+    lr = 3e-3
+
+    def agent(i):
+        return make_sac_agent(
+            state_dim, action_dim, np.random.default_rng(seed + i), hidden_sizes=hidden,
+            lr=lr, gamma=gamma, buffer_capacity=2 * n,
+        )
+
+    shared, fresh = [agent(0), agent(1)], [agent(0), agent(1)]
+    refs = [oracles.SeedSac(a, lr) for a in fresh]
+    ref_buffers = [ReplayBuffer(2 * n), ReplayBuffer(2 * n)]
+    rngs = {k: [np.random.default_rng(seed + 10 + i) for i in range(2)] for k in ("s", "f", "r")}
+    data = np.random.default_rng(seed + 20)
+    work = SacWork(shared[0], n)
+    for _ in range(3):
+        for i in range(2):
+            if done_mix == "mixed":
+                dones = (data.random(n) < 0.5).astype(np.float64)
+            else:
+                dones = np.full(n, 1.0 if done_mix == "all" else 0.0)
+            rows = _batch(data, n, state_dim, action_dim, dones)
+            transitions = list(
+                zip(rows.states, rows.actions, rows.rewards, rows.next_states, rows.dones)
+            )
+            for buf in (shared[i].buffer, fresh[i].buffer, ref_buffers[i]):
+                for transition in transitions:
+                    buf.push(*transition)
+            rs, rf, rr = (rngs[k][i] for k in ("s", "f", "r"))
+            got = sac_update(shared[i], shared[i].buffer.sample(n, rs, out=work.batch), rs, work)
+            alone = sac_update(fresh[i], fresh[i].buffer.sample(n, rf), rf)
+            want = oracles.seed_sac_update(refs[i], ref_buffers[i].sample(n, rr), rr)
+            assert got == alone
+            assert (got.critic1, got.critic2, got.actor, got.temperature) == want
+
+    for i in range(2):
+        s, f, r = shared[i], fresh[i], refs[i]
+        for name in oracles.SeedSac.NETS:
+            assert np.array_equal(getattr(s, name).flat, getattr(f, name).flat)
+            assert np.array_equal(getattr(s, name).flat, getattr(r, name).flat())
+        for name in ("actor_opt", "critic1_opt", "critic2_opt", "alpha_opt"):
+            for moments in ("m", "v"):
+                got = getattr(getattr(s, name), moments)[0]
+                assert np.array_equal(got, getattr(getattr(f, name), moments)[0])
+                want = getattr(getattr(r, name), moments)
+                assert np.array_equal(got, np.concatenate([w.ravel() for w in want]))
+        assert np.array_equal(s.log_alpha, f.log_alpha) and np.array_equal(s.log_alpha, r.log_alpha)
+        draws = [rngs[k][i].standard_normal(4) for k in ("s", "f", "r")]
+        assert np.array_equal(draws[0], draws[1]) and np.array_equal(draws[0], draws[2])
+
+
+def test_sac_update_rejects_work_of_another_shape():
+    agent = make_sac_agent(3, 2, np.random.default_rng(0), hidden_sizes=(4,))
+    batch = _batch(np.random.default_rng(1), 5, 3, 2, np.ones(5))
+    with pytest.raises(ValueError, match="work buffers"):
+        sac_update(agent, batch, np.random.default_rng(2), SacWork(agent, 6))
+    wider = make_sac_agent(3, 2, np.random.default_rng(0), hidden_sizes=(5,))
+    with pytest.raises(ValueError, match="work buffers"):
+        sac_update(agent, batch, np.random.default_rng(2), SacWork(wider, 5))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, adam._BLOCK + 1])
+def test_blockwise_polyak_matches_reference_around_the_block_size(offset):
+    # a (k, 1) network has k + 1 parameters: arenas one short of, equal
+    # to, one past and one past two blocks
+    sizes = (adam._BLOCK + offset - 1, 1)
+    rng = np.random.default_rng(offset + 5)
+    online, target = mlp_init(sizes, rng), mlp_init(sizes, rng)
+    online.flat[...] = rng.standard_normal(online.flat.size)
+    ref = oracles.SeedNet(target)
+    polyak_update(target, online, 0.005)
+    oracles.seed_polyak(ref, oracles.SeedNet(online), 0.005)
+    assert np.array_equal(target.flat, ref.flat())
+
+
+@SETTINGS
+@given(
+    sizes=layer_sizes,
+    rho=st.sampled_from([0.0, 0.005, 0.3, 1.0]),
+    block=st.sampled_from([1, 7, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blockwise_polyak_matches_reference_at_any_block_edge(sizes, rho, block, seed):
+    rng = np.random.default_rng(seed)
+    online, target = mlp_init(sizes, rng), mlp_init(sizes, rng)
+    ref = oracles.SeedNet(target)
+    with mock.patch.object(adam, "_BLOCK", block):
+        polyak_update(target, online, rho)
+    oracles.seed_polyak(ref, oracles.SeedNet(online), rho)
+    assert np.array_equal(target.flat, ref.flat())
