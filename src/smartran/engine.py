@@ -19,10 +19,8 @@ string instead of poisoning the rest.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -370,6 +368,10 @@ def run_sweep(
     ]
     if workers <= 1 or len(payloads) <= 1:
         return [_run_cell(p) for p in payloads]
+    # imported here, their only use, so that importing the engine stays cheap
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with _single_blas_thread_env(), ProcessPoolExecutor(
         max_workers=workers, mp_context=multiprocessing.get_context("spawn")
     ) as pool:

@@ -13,11 +13,13 @@ Polyak blend and finiteness check are one vector operation per network.
 Updates do only the work whose result they use: the backward forms
 parameter gradients or input gradients only where asked, and when every
 sampled transition has zero discount (a contextual bandit, as the
-allocators are) sac_update skips the next-state target forwards; the
-Polyak blends and its next-state noise draw still run. sac_update
-writes every batch- or arena-sized intermediate into a SacWork that
-callers keep across updates (and share between same-shape agents), so
-a steady update allocates none. None of this changes a single float of
+allocators are) sac_update skips the next-state target forwards but
+still draws the next-state noise. A SAC agent built with zero discount
+has no target critics to blend, and a replay buffer stores no next
+state for a terminal transition. sac_update writes every batch- or
+arena-sized intermediate into a SacWork that callers keep across
+updates (and share between same-shape agents), so a steady update
+allocates none. None of this changes a single float of
 the results.
 """
 

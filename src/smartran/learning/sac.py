@@ -28,7 +28,9 @@ for the allocators (zero discount, terminal transitions), the critic
 target is the reward alone. sac_update then skips the next-state actor
 pass and both target-critic forwards, but still draws the next-state
 noise so the caller's Generator advances exactly as on the full path.
-The Polyak blends of the targets run either way.
+An agent built with gamma = 0 never reads a target, so it has none
+(target1 and target2 are None) and its updates blend none; an agent
+with gamma != 0 keeps both and blends them on every update.
 
 Work buffers: every batch- or arena-sized intermediate of sac_update
 lives in a SacWork, which a caller builds once and passes to every
@@ -76,8 +78,8 @@ class SacAgent:
     actor: Mlp  # state -> (mu, log_std_raw), width 2 * action_dim
     critic1: Mlp  # (state, action) -> scalar
     critic2: Mlp
-    target1: Mlp
-    target2: Mlp
+    target1: Mlp | None  # None when gamma == 0: no update reads a target
+    target2: Mlp | None
     log_alpha: np.ndarray  # shape (1,)
     auto_alpha: bool
     target_entropy: float
@@ -108,8 +110,9 @@ def make_sac_agent(
     buffer_capacity: int = 100_000,
     activation: str = "tanh",
 ) -> SacAgent:
-    """Build actor, twin critics (targets start as copies), optimizers,
-    and the replay buffer. target_entropy defaults to -action_dim."""
+    """Build actor, twin critics (targets start as copies, and exist only
+    when gamma != 0), optimizers, and the replay buffer. target_entropy
+    defaults to -action_dim."""
     if state_dim < 1 or action_dim < 1:
         raise ValueError("state_dim and action_dim must be >= 1")
     if init_alpha <= 0:
@@ -119,14 +122,15 @@ def make_sac_agent(
     critic1 = mlp_init((state_dim + action_dim, *hidden, 1), rng, activation)
     critic2 = mlp_init((state_dim + action_dim, *hidden, 1), rng, activation)
     log_alpha = np.array([np.log(init_alpha)])
+    bootstraps = gamma != 0
     return SacAgent(
         state_dim=state_dim,
         action_dim=action_dim,
         actor=actor,
         critic1=critic1,
         critic2=critic2,
-        target1=critic1.copy(),
-        target2=critic2.copy(),
+        target1=critic1.copy() if bootstraps else None,
+        target2=critic2.copy() if bootstraps else None,
         log_alpha=log_alpha,
         auto_alpha=auto_alpha,
         target_entropy=float(-action_dim if target_entropy is None else target_entropy),
@@ -142,12 +146,13 @@ def make_sac_agent(
 
 class SacWork:
     """Reusable buffers for sac_update at one shape: the actor and
-    critic layer sizes and the batch size n. Agents of one shape that
-    are updated one after another can share a SacWork; each update
-    overwrites all of it.
+    critic layer sizes, the batch size n, and whether gamma is nonzero.
+    Agents of one shape that are updated one after another can share a
+    SacWork; each update overwrites all of it.
 
-    batch receives ReplayBuffer.sample(..., out=work.batch). sa holds
-    the (state, action) rows: the sampled actions for the critic
+    batch receives ReplayBuffer.sample(..., out=work.batch); its
+    next_states is None at gamma = 0, where no update reads them. sa
+    holds the (state, action) rows: the sampled actions for the critic
     regression, then the policy's for the actor path. grads is one
     gradient arena, sized for the largest network and used by critic1,
     critic2 and the actor in turn. The rest is noise, policy scratch,
@@ -161,7 +166,7 @@ class SacWork:
             states=np.empty((n, ds)),
             actions=np.empty((n, da)),
             rewards=np.empty(n),
-            next_states=np.empty((n, ds)),
+            next_states=np.empty((n, ds)) if agent.gamma != 0 else None,
             dones=np.empty(n),
         )
         self.sa = np.empty((n, ds + da))
@@ -184,7 +189,10 @@ class SacWork:
 
 
 def _work_shape(agent: SacAgent, n: int) -> tuple:
-    return (agent.actor.layer_sizes, agent.critic1.layer_sizes, agent.critic2.layer_sizes, n)
+    return (
+        agent.actor.layer_sizes, agent.critic1.layer_sizes, agent.critic2.layer_sizes, n,
+        agent.gamma != 0,
+    )
 
 
 def _squash(mu, log_std, eps, sigma=None, a=None):
@@ -250,9 +258,9 @@ def sac_update(
     work: SacWork | None = None,
 ) -> SacLosses:
     """One gradient step on critics, actor, and temperature, then a
-    Polyak blend of the targets. Runs on `work` (fresh buffers when
-    None), which may hold the batch itself. Raises on non-finite
-    losses."""
+    Polyak blend of the targets if the agent has them. Runs on `work`
+    (fresh buffers when None), which may hold the batch itself. Raises
+    on non-finite losses."""
     n = batch.states.shape[0]
     if work is None:
         work = SacWork(agent, n)
@@ -332,8 +340,9 @@ def sac_update(
     else:
         temp_loss = 0.0
 
-    polyak_update(agent.target1, agent.critic1, agent.polyak)
-    polyak_update(agent.target2, agent.critic2, agent.polyak)
+    if agent.target1 is not None:
+        polyak_update(agent.target1, agent.critic1, agent.polyak)
+        polyak_update(agent.target2, agent.critic2, agent.polyak)
 
     out = SacLosses(
         critic1=losses[0], critic2=losses[1], actor=actor_loss, temperature=temp_loss

@@ -3,7 +3,9 @@
 Networks serialize to plain JSON: a layer-size header plus row-major
 parameter lists. Python's float repr round-trips float64 exactly, so a
 save/load cycle reproduces parameters bit for bit. Snapshots capture
-inference state (networks and temperature), not optimizer moments.
+inference state (networks and temperature), not optimizer moments,
+and hold only the networks the agent has: a SAC agent built with
+gamma = 0 has no target critics.
 """
 
 from __future__ import annotations
@@ -42,13 +44,10 @@ def mlp_from_dict(d: dict) -> Mlp:
 
 def _agent_nets(agent) -> dict[str, Mlp]:
     if isinstance(agent, SacAgent):
-        return {
-            "actor": agent.actor,
-            "critic1": agent.critic1,
-            "critic2": agent.critic2,
-            "target1": agent.target1,
-            "target2": agent.target2,
-        }
+        nets = {"actor": agent.actor, "critic1": agent.critic1, "critic2": agent.critic2}
+        if agent.target1 is not None:
+            nets.update(target1=agent.target1, target2=agent.target2)
+        return nets
     if isinstance(agent, DqnAgent):
         return {"qnet": agent.qnet, "target": agent.target}
     if isinstance(agent, DdpgAgent):
@@ -73,12 +72,17 @@ def save_agent(agent, path: str) -> None:
 
 
 def load_agent(path: str, agent) -> None:
-    """Restore a snapshot into an agent of matching kind and sizes."""
+    """Restore a snapshot into an agent of matching kind and sizes. Every
+    network the agent has must be in the snapshot; networks it does not
+    have (the targets of a gamma = 0 SAC agent) are ignored."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload["kind"] != type(agent).__name__:
         raise ValueError(f"snapshot holds a {payload['kind']}, not a {type(agent).__name__}")
     nets = _agent_nets(agent)
+    missing = [name for name in nets if name not in payload["nets"]]
+    if missing:
+        raise ValueError(f"snapshot lacks the {', '.join(missing)} network(s) of this agent")
     for name, net in nets.items():
         loaded = mlp_from_dict(payload["nets"][name])
         if loaded.layer_sizes != net.layer_sizes:

@@ -258,8 +258,9 @@ def fd_gradients(loss_fn, params, eps: float = 1e-6):
 # weight and bias, per-layer Adam moments, a backward that always forms
 # every parameter gradient and the full input gradient (recomputing the
 # hidden activations), and a SAC update that always evaluates the
-# next-state policy and both target critics. Bit-for-bit reference for
-# the arena, the one-sided backward and the bandit skip.
+# next-state policy and both target critics (when the agent has them:
+# one built with gamma = 0 has none). Bit-for-bit reference for the
+# arena, the one-sided backward and the bandit skip.
 
 SEED_LOG_STD_MIN = -20.0
 SEED_LOG_STD_MAX = 2.0
@@ -357,13 +358,15 @@ def seed_polyak(target, online, rho):
 
 class SeedSac:
     """Copy of a SAC agent's networks, temperature and settings, with
-    fresh per-layer optimizer state (as a newly built agent has)."""
+    fresh per-layer optimizer state (as a newly built agent has). The
+    targets are None when the agent has none."""
 
     NETS = ("actor", "critic1", "critic2", "target1", "target2")
 
     def __init__(self, agent, lr):
         for name in self.NETS:
-            setattr(self, name, SeedNet(getattr(agent, name)))
+            net = getattr(agent, name)
+            setattr(self, name, None if net is None else SeedNet(net))
         self.log_alpha = np.array(agent.log_alpha, dtype=np.float64)
         self.state_dim, self.action_dim = agent.state_dim, agent.action_dim
         self.auto_alpha, self.target_entropy = agent.auto_alpha, agent.target_entropy
@@ -402,12 +405,15 @@ def seed_sac_update(agent, batch, rng):
     mu2, log_std2, _, _ = _seed_policy_stats(agent, batch.next_states)
     eps2 = rng.standard_normal(mu2.shape)
     a2, logp2, _ = _seed_squash(mu2, log_std2, eps2)
-    sa2 = np.concatenate([batch.next_states, a2], axis=1)
-    q1t = seed_forward(agent.target1, sa2)[:, 0]
-    q2t = seed_forward(agent.target2, sa2)[:, 0]
-    y = batch.rewards + agent.gamma * (1.0 - batch.dones) * (
-        np.minimum(q1t, q2t) - alpha * logp2
-    )
+    if agent.target1 is None:  # gamma = 0: the bootstrap term is zero
+        y = batch.rewards + agent.gamma * (1.0 - batch.dones) * (-alpha * logp2)
+    else:
+        sa2 = np.concatenate([batch.next_states, a2], axis=1)
+        q1t = seed_forward(agent.target1, sa2)[:, 0]
+        q2t = seed_forward(agent.target2, sa2)[:, 0]
+        y = batch.rewards + agent.gamma * (1.0 - batch.dones) * (
+            np.minimum(q1t, q2t) - alpha * logp2
+        )
 
     sa = np.concatenate([batch.states, batch.actions], axis=1)
     losses = []
@@ -447,6 +453,7 @@ def seed_sac_update(agent, batch, rng):
     else:
         temp_loss = 0.0
 
-    seed_polyak(agent.target1, agent.critic1, agent.polyak)
-    seed_polyak(agent.target2, agent.critic2, agent.polyak)
+    if agent.target1 is not None:
+        seed_polyak(agent.target1, agent.critic1, agent.polyak)
+        seed_polyak(agent.target2, agent.critic2, agent.polyak)
     return losses[0], losses[1], actor_loss, temp_loss

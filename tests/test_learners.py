@@ -2,10 +2,14 @@
 mechanics, and target-network tracking. Convergence quality against the
 value-iteration oracle lives in the acceptance suite."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from smartran.learning import sac
 from smartran.learning import (
+    TransitionBatch,
     ddpg_select_action,
     ddpg_update,
     dqn_select_action,
@@ -130,3 +134,48 @@ def test_learner_factories_validate_sizes():
         make_sac_agent(1, 1, rng, init_alpha=0.0)
     with pytest.raises(ValueError):
         make_dqn_agent(3, 1, rng)  # needs at least two actions
+
+
+@pytest.mark.parametrize("gamma, blends", [(0.0, 0), (0.9, 2)])
+def test_only_a_discounting_sac_agent_has_targets_to_blend(gamma, blends):
+    rng = np.random.default_rng(8)
+    agent = make_sac_agent(3, 2, rng, hidden_sizes=(8,), gamma=gamma)
+    assert (agent.target1 is None and agent.target2 is None) == (gamma == 0.0)
+    _fill_buffer(agent, rng, action_dim=2)
+    with mock.patch.object(sac, "polyak_update", wraps=sac.polyak_update) as blend:
+        sac_update(agent, agent.buffer.sample(16, rng), rng)
+    assert blend.call_count == blends
+
+
+def _terminal_pair(agent, rng, discrete):
+    # the buffer keeps no next state for terminal rows, so they sample as
+    # zeros; the same rows with the states as next states must update a
+    # twin agent to the same bits, as (1 - done) zeroes the bootstrap
+    for _ in range(32):
+        s = rng.standard_normal(3)
+        a = [float(rng.integers(0, 2))] if discrete else rng.uniform(-1.0, 1.0, 2)
+        agent.buffer.push(s, a, float(rng.standard_normal()), s, True)
+    zeros = agent.buffer.sample(16, rng)
+    assert np.all(zeros.next_states == 0.0)
+    states = TransitionBatch(
+        zeros.states, zeros.actions, zeros.rewards, zeros.states.copy(), zeros.dones
+    )
+    return zeros, states
+
+
+def _nets_equal(a, b, names):
+    return all(np.array_equal(getattr(a, n).flat, getattr(b, n).flat) for n in names)
+
+
+def test_dqn_terminal_rows_update_the_same_without_next_states():
+    agents = [make_dqn_agent(3, 2, np.random.default_rng(9), hidden_sizes=(8,)) for _ in range(2)]
+    zeros, states = _terminal_pair(agents[0], np.random.default_rng(10), discrete=True)
+    assert dqn_update(agents[0], zeros) == dqn_update(agents[1], states)
+    assert _nets_equal(*agents, ("qnet", "target"))
+
+
+def test_ddpg_terminal_rows_update_the_same_without_next_states():
+    agents = [make_ddpg_agent(3, 2, np.random.default_rng(11), hidden_sizes=(8,)) for _ in range(2)]
+    zeros, states = _terminal_pair(agents[0], np.random.default_rng(12), discrete=False)
+    assert ddpg_update(agents[0], zeros) == ddpg_update(agents[1], states)
+    assert _nets_equal(*agents, ("actor", "critic", "actor_target", "critic_target"))

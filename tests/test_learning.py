@@ -1,5 +1,7 @@
 """Network forward/backward, Adam, polyak, replay, and snapshots."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,36 @@ def test_steady_sac_updates_do_not_refault_memory():
     assert faults < 2000, f"{faults} minor faults in 20 steady updates"
 
 
+def test_terminal_only_buffer_holds_no_next_states():
+    buf = ReplayBuffer(capacity=8)
+    data = np.random.default_rng(11)
+    for _ in range(5):
+        s = data.standard_normal(3)
+        buf.push(s, data.standard_normal(2), data.standard_normal(), s, True)
+    assert buf._next_states is None
+    batch = buf.sample(6, np.random.default_rng(12))
+    assert batch.next_states.shape == (6, 3) and np.all(batch.next_states == 0.0)
+    out = TransitionBatch(np.empty((6, 3)), np.empty((6, 2)), np.empty(6), None, np.empty(6))
+    assert buf.sample(6, np.random.default_rng(12), out=out).next_states is None
+    assert np.array_equal(out.states, batch.states)
+
+
+def test_mixed_buffer_samples_terminal_next_states_as_zeros():
+    buf = ReplayBuffer(capacity=4)
+    data = np.random.default_rng(13)
+    stored = []
+    for i in range(7):  # wraps: push 5 (terminal) overwrites push 1's row
+        done = i in (0, 3, 5)
+        s2 = data.standard_normal(3)
+        buf.push(data.standard_normal(3), [0.0], float(i), s2, done)
+        stored.append(np.zeros(3) if done else s2)
+    batch = buf.sample(64, np.random.default_rng(14))
+    assert set(batch.rewards) == {3.0, 4.0, 5.0, 6.0}
+    for reward, done, s2 in zip(batch.rewards, batch.dones, batch.next_states):
+        assert done == (reward in (3.0, 5.0))
+        assert np.array_equal(s2, stored[int(reward)])
+
+
 def test_replay_rejects_shape_drift():
     buf = ReplayBuffer(capacity=4)
     buf.push([1.0, 2.0], [0.0], 0.0, [1.0, 2.0], False)
@@ -224,6 +256,25 @@ def test_snapshot_roundtrip_sac(tmp_path):
         for w1, w2 in zip(getattr(other, name).weights, getattr(agent, name).weights):
             assert np.array_equal(w1, w2)
     assert other.log_alpha[0] == agent.log_alpha[0]
+
+
+def test_snapshot_roundtrip_sac_without_targets(tmp_path):
+    agent = make_sac_agent(3, 2, np.random.default_rng(12), hidden_sizes=(8,), gamma=0.0)
+    agent.log_alpha[0] = -0.75
+    path = str(tmp_path / "bandit.json")
+    save_agent(agent, path)
+    with open(path, encoding="utf-8") as fh:
+        assert sorted(json.load(fh)["nets"]) == ["actor", "critic1", "critic2"]
+    other = make_sac_agent(3, 2, np.random.default_rng(13), hidden_sizes=(8,), gamma=0.0)
+    load_agent(path, other)
+    for name in ("actor", "critic1", "critic2"):
+        assert np.array_equal(getattr(other, name).flat, getattr(agent, name).flat)
+    assert other.target1 is None and other.log_alpha[0] == agent.log_alpha[0]
+    discounting = make_sac_agent(3, 2, np.random.default_rng(14), hidden_sizes=(8,))
+    before = discounting.actor.flat.copy()
+    with pytest.raises(ValueError, match="target1, target2"):
+        load_agent(path, discounting)
+    assert np.array_equal(discounting.actor.flat, before)
 
 
 def test_snapshot_rejects_kind_and_size_mismatch(tmp_path):

@@ -174,8 +174,7 @@ def test_sac_update_matches_reference_bit_for_bit(
         want = oracles.seed_sac_update(ref, batch, ref_rng)
         assert (losses.critic1, losses.critic2, losses.actor, losses.temperature) == want
 
-    for name in oracles.SeedSac.NETS:
-        assert np.array_equal(getattr(agent, name).flat, getattr(ref, name).flat())
+    _assert_nets_match_reference(agent, ref)
     for name in ("actor_opt", "critic1_opt", "critic2_opt"):
         got, want = getattr(agent, name), getattr(ref, name)
         assert got.step == want.step
@@ -185,6 +184,16 @@ def test_sac_update_matches_reference_bit_for_bit(
     assert np.array_equal(agent.alpha_opt.m[0], ref.alpha_opt.m[0])
     assert np.array_equal(agent.alpha_opt.v[0], ref.alpha_opt.v[0])
     assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
+
+
+def _assert_nets_match_reference(agent, ref):
+    # a gamma = 0 agent has no targets, and neither has its reference
+    assert (agent.target1 is None) == (agent.gamma == 0)
+    for name in oracles.SeedSac.NETS:
+        got, want = getattr(agent, name), getattr(ref, name)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got.flat, want.flat())
 
 
 def _make_sac(gamma, seed):
@@ -197,13 +206,12 @@ def test_bandit_skip_equals_the_full_target_path():
     # gamma = 0 with terminal rows takes the skip; a discount of 1e-300
     # on continuing rows takes the full path, yet rounds every target
     # back to the reward, so both must land on the same bits. The
-    # skipping agent's targets hold NaN: reading them would poison it.
+    # skipping agent has no targets: reading one would raise.
     fast, full = _make_sac(0.0, 7), _make_sac(1e-300, 7)
-    nets = [n for n, v in vars(fast).items() if hasattr(v, "flat")]
+    nets = [n for n, v in vars(full).items() if hasattr(v, "flat")]
     targets = [n for n in nets if "target" in n]
     assert targets and len(targets) < len(nets)
-    for name in targets:
-        getattr(fast, name).flat[...] = np.nan
+    assert all(getattr(fast, name) is None for name in targets)
     data = np.random.default_rng(8)
     rng_fast, rng_full = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(3):
@@ -269,9 +277,10 @@ def test_agents_sharing_one_work_match_fresh_work_and_reference(
 
     for i in range(2):
         s, f, r = shared[i], fresh[i], refs[i]
+        _assert_nets_match_reference(s, r)
         for name in oracles.SeedSac.NETS:
-            assert np.array_equal(getattr(s, name).flat, getattr(f, name).flat)
-            assert np.array_equal(getattr(s, name).flat, getattr(r, name).flat())
+            if getattr(s, name) is not None:
+                assert np.array_equal(getattr(s, name).flat, getattr(f, name).flat)
         for name in ("actor_opt", "critic1_opt", "critic2_opt", "alpha_opt"):
             for moments in ("m", "v"):
                 got = getattr(getattr(s, name), moments)[0]
@@ -291,6 +300,11 @@ def test_sac_update_rejects_work_of_another_shape():
     wider = make_sac_agent(3, 2, np.random.default_rng(0), hidden_sizes=(5,))
     with pytest.raises(ValueError, match="work buffers"):
         sac_update(agent, batch, np.random.default_rng(2), SacWork(wider, 5))
+    # a zero-discount agent's work has no next-state rows to sample into
+    bandit = make_sac_agent(3, 2, np.random.default_rng(0), hidden_sizes=(4,), gamma=0.0)
+    assert SacWork(bandit, 5).batch.next_states is None
+    with pytest.raises(ValueError, match="work buffers"):
+        sac_update(agent, batch, np.random.default_rng(2), SacWork(bandit, 5))
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1, adam._BLOCK + 1])
