@@ -271,11 +271,12 @@ def cmd_figure(args) -> int:
     )
     failed = [c for c in cells if c.error is not None]
     if failed:
-        c = failed[0]
-        sys.stderr.write(
-            f"{len(failed)} sweep cell(s) failed; first: scheme={c.scheme} "
-            f"learner={c.learner} users={c.user_count} seed={c.seed}\n{c.error}\n"
-        )
+        sys.stderr.write(f"{len(failed)} sweep cell(s) failed\n")
+        for c in failed:
+            sys.stderr.write(
+                f"scheme={c.scheme} learner={c.learner} users={c.user_count} "
+                f"seed={c.seed}\n{c.error}\n"
+            )
         return 2
 
     os.makedirs(args.out, exist_ok=True)

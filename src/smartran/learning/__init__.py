@@ -8,8 +8,10 @@ deterministic given the Generators passed in; nothing here owns global
 random state.
 
 Each network keeps all its parameters in one contiguous vector (the
-arena, Mlp.flat) with per-layer views on top, so a learner's Adam step,
-Polyak blend and finiteness check are one vector operation per network.
+arena, Mlp.flat) with per-layer views on top, and an AdamState steps one
+array (an arena, or the temperature's log_alpha), so a learner's Adam
+step, Polyak blend and finiteness check are one vector operation per
+network.
 Updates do only the work whose result they use: the backward forms
 parameter gradients or input gradients only where asked, and when every
 sampled transition has zero discount (a contextual bandit, as the
@@ -38,7 +40,6 @@ from .replay import ReplayBuffer, TransitionBatch
 from .sac import SacAgent, SacLosses, SacWork, make_sac_agent, sac_select_action, sac_update
 from .dqn import DqnAgent, make_dqn_agent, dqn_select_action, dqn_update
 from .ddpg import DdpgAgent, make_ddpg_agent, ddpg_select_action, ddpg_update
-from .snapshot import save_agent, load_agent, mlp_to_dict, mlp_from_dict
 
 __all__ = [
     "Mlp",
@@ -69,8 +70,4 @@ __all__ = [
     "make_ddpg_agent",
     "ddpg_select_action",
     "ddpg_update",
-    "save_agent",
-    "load_agent",
-    "mlp_to_dict",
-    "mlp_from_dict",
 ]

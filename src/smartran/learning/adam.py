@@ -1,15 +1,16 @@
-"""Bias-corrected Adam over lists of parameter arrays.
+"""Bias-corrected Adam over one parameter array.
 
-A learner passes each network as a one-entry list holding its arena
-vector (Mlp.flat) and gets one step per network: in-place ufuncs on
-flat first and second moments. Each array is stepped as a flat view, in
-blocks of _BLOCK entries, so each block's parameters, gradient, moments
-and scratch stay in cache across the dozen ufunc passes of a step. The
-two _BLOCK-entry scratch vectors are built at the first step and shared
-by every later step and by mlp.polyak_update, in this process; they
-carry nothing from one call to the next, and the package runs no two
-updates at once. The per-element arithmetic is the textbook one, in the
-textbook order, for any list layout and block size.
+A learner keeps one optimizer per network, built on its arena vector
+(Mlp.flat), or on log_alpha for the temperature, and each step is
+in-place ufuncs on flat first and second moments. The array is stepped
+as a flat view, in blocks of _BLOCK entries, so each block's
+parameters, gradient, moments and scratch stay in cache across the
+dozen ufunc passes of a step. The two _BLOCK-entry scratch vectors are
+built at the first step and shared by every later step and by
+mlp.polyak_update, in this process; they carry nothing from one call to
+the next, and the package runs no two updates at once. The per-element
+arithmetic is the textbook one, in the textbook order, for any block
+size.
 """
 
 from __future__ import annotations
@@ -42,12 +43,12 @@ class AdamState:
     beta2: float
     eps: float
     step: int
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
 
 def adam_init(
-    params: list[np.ndarray],
+    param: np.ndarray,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
@@ -61,8 +62,8 @@ def adam_init(
         beta2=beta2,
         eps=eps,
         step=0,
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
+        m=np.zeros_like(param),
+        v=np.zeros_like(param),
     )
 
 
@@ -72,27 +73,24 @@ def _all_finite(g: np.ndarray) -> bool:
     return bool(np.isfinite(g.sum())) or bool(np.all(np.isfinite(g)))
 
 
-def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray) -> None:
     """One in-place update. Rejects non-finite gradients outright."""
-    if len(params) != len(state.m) or len(grads) != len(state.m):
-        raise ValueError("params/grads do not match optimizer state")
-    for g in grads:
-        if not _all_finite(g):
-            raise ValueError("non-finite gradient passed to adam_step")
+    if grad.shape != param.shape or param.shape != state.m.shape:
+        raise ValueError("param/grad do not match optimizer state")
+    if not _all_finite(grad):
+        raise ValueError("non-finite gradient passed to adam_step")
     state.step += 1
     b1c = 1.0 - state.beta1**state.step
     b2c = 1.0 - state.beta2**state.step
     scratch1, scratch2 = block_scratch()
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        # views, not copies: parameters and moments are C-contiguous
-        p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-        for lo in range(0, p.size, _BLOCK):
-            hi = lo + _BLOCK
-            n = min(hi, p.size) - lo
-            _step_block(
-                state, b1c, b2c, p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi],
-                scratch1[:n], scratch2[:n],
-            )
+    # views, not copies: parameters and moments are C-contiguous
+    p, g, m, v = param.reshape(-1), grad.reshape(-1), state.m.reshape(-1), state.v.reshape(-1)
+    for lo in range(0, p.size, _BLOCK):
+        hi = lo + _BLOCK
+        n = min(hi, p.size) - lo
+        _step_block(
+            state, b1c, b2c, p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], scratch1[:n], scratch2[:n]
+        )
 
 
 def _step_block(state: AdamState, b1c: float, b2c: float, p, g, m, v, step, sq) -> None:
@@ -117,6 +115,6 @@ def _step_block(state: AdamState, b1c: float, b2c: float, p, g, m, v, step, sq) 
 
 def apply_gradients(net, opt: AdamState, grads: np.ndarray) -> None:
     """adam_step on a network's arena, bumping its cache version. opt is
-    built on [net.flat] and grads is one arena-layout vector."""
-    adam_step(opt, [net.flat], [grads])
+    built on net.flat and grads is one arena-layout vector."""
+    adam_step(opt, net.flat, grads)
     net.bump()

@@ -42,15 +42,14 @@ def make_ddpg_agent(
     polyak: float = 0.005,
     noise_std: float = 0.2,
     buffer_capacity: int = 100_000,
-    activation: str = "tanh",
 ) -> DdpgAgent:
     if state_dim < 1 or action_dim < 1:
         raise ValueError("state_dim and action_dim must be >= 1")
     if noise_std < 0:
         raise ValueError("noise_std must be >= 0")
     hidden = tuple(int(h) for h in hidden_sizes)
-    actor = mlp_init((state_dim, *hidden, action_dim), rng, activation, final_scale=0.01)
-    critic = mlp_init((state_dim + action_dim, *hidden, 1), rng, activation)
+    actor = mlp_init((state_dim, *hidden, action_dim), rng, final_scale=0.01)
+    critic = mlp_init((state_dim + action_dim, *hidden, 1), rng)
     return DdpgAgent(
         state_dim=state_dim,
         action_dim=action_dim,
@@ -58,8 +57,8 @@ def make_ddpg_agent(
         critic=critic,
         actor_target=actor.copy(),
         critic_target=critic.copy(),
-        actor_opt=adam_init([actor.flat], lr),
-        critic_opt=adam_init([critic.flat], lr),
+        actor_opt=adam_init(actor.flat, lr),
+        critic_opt=adam_init(critic.flat, lr),
         buffer=ReplayBuffer(buffer_capacity),
         gamma=float(gamma),
         polyak=float(polyak),

@@ -42,20 +42,19 @@ def make_dqn_agent(
     polyak: float = 0.005,
     epsilon: float = 0.1,
     buffer_capacity: int = 100_000,
-    activation: str = "tanh",
 ) -> DqnAgent:
     if state_dim < 1 or n_actions < 2:
         raise ValueError("need state_dim >= 1 and n_actions >= 2")
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError("epsilon must be in [0, 1]")
     hidden = tuple(int(h) for h in hidden_sizes)
-    qnet = mlp_init((state_dim, *hidden, n_actions), rng, activation)
+    qnet = mlp_init((state_dim, *hidden, n_actions), rng)
     return DqnAgent(
         state_dim=state_dim,
         n_actions=n_actions,
         qnet=qnet,
         target=qnet.copy(),
-        opt=adam_init([qnet.flat], lr),
+        opt=adam_init(qnet.flat, lr),
         buffer=ReplayBuffer(buffer_capacity),
         gamma=float(gamma),
         polyak=float(polyak),

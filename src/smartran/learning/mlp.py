@@ -6,8 +6,8 @@ and an identity output layer. All math is float64.
 
 Every parameter lives in one contiguous float64 vector, Mlp.flat, laid
 out as [W0 (row-major), b0, W1, b1, ...]; weights[i] and biases[i] are
-views into it. Parameter gradients use the same layout, so Adam,
-Polyak blends and snapshots touch one vector per network.
+views into it. Parameter gradients use the same layout, so Adam and
+Polyak blends each touch one vector per network.
 
 mlp_forward_cached writes each layer's pre-activation and hidden
 activation into an MlpBuffers set: the caller's, so that a learner

@@ -106,21 +106,19 @@ def make_sac_agent(
     polyak: float = 0.005,
     init_alpha: float = 0.2,
     auto_alpha: bool = True,
-    target_entropy: float | None = None,
     buffer_capacity: int = 100_000,
-    activation: str = "tanh",
 ) -> SacAgent:
     """Build actor, twin critics (targets start as copies, and exist only
-    when gamma != 0), optimizers, and the replay buffer. target_entropy
-    defaults to -action_dim."""
+    when gamma != 0), optimizers, and the replay buffer. Hidden layers are
+    tanh; the temperature targets an entropy of -action_dim."""
     if state_dim < 1 or action_dim < 1:
         raise ValueError("state_dim and action_dim must be >= 1")
     if init_alpha <= 0:
         raise ValueError("init_alpha must be positive")
     hidden = tuple(int(h) for h in hidden_sizes)
-    actor = mlp_init((state_dim, *hidden, 2 * action_dim), rng, activation, final_scale=0.01)
-    critic1 = mlp_init((state_dim + action_dim, *hidden, 1), rng, activation)
-    critic2 = mlp_init((state_dim + action_dim, *hidden, 1), rng, activation)
+    actor = mlp_init((state_dim, *hidden, 2 * action_dim), rng, final_scale=0.01)
+    critic1 = mlp_init((state_dim + action_dim, *hidden, 1), rng)
+    critic2 = mlp_init((state_dim + action_dim, *hidden, 1), rng)
     log_alpha = np.array([np.log(init_alpha)])
     bootstraps = gamma != 0
     return SacAgent(
@@ -133,13 +131,13 @@ def make_sac_agent(
         target2=critic2.copy() if bootstraps else None,
         log_alpha=log_alpha,
         auto_alpha=auto_alpha,
-        target_entropy=float(-action_dim if target_entropy is None else target_entropy),
+        target_entropy=float(-action_dim),
         gamma=float(gamma),
         polyak=float(polyak),
-        actor_opt=adam_init([actor.flat], lr),
-        critic1_opt=adam_init([critic1.flat], lr),
-        critic2_opt=adam_init([critic2.flat], lr),
-        alpha_opt=adam_init([log_alpha], lr),
+        actor_opt=adam_init(actor.flat, lr),
+        critic1_opt=adam_init(critic1.flat, lr),
+        critic2_opt=adam_init(critic2.flat, lr),
+        alpha_opt=adam_init(log_alpha, lr),
         buffer=ReplayBuffer(buffer_capacity),
     )
 
@@ -336,7 +334,7 @@ def sac_update(
     if agent.auto_alpha:
         gap = float(np.mean(logp) + agent.target_entropy)
         temp_loss = -float(agent.log_alpha[0]) * gap
-        adam_step(agent.alpha_opt, [agent.log_alpha], [np.array([-gap])])
+        adam_step(agent.alpha_opt, agent.log_alpha, np.array([-gap]))
     else:
         temp_loss = 0.0
 

@@ -90,7 +90,6 @@ class Topology:
     cell_radii_m: np.ndarray  # (B,)
     p_max_w: np.ndarray  # (B,)
     subcarrier_count: int
-    bandwidth_hz: float
 
     @property
     def rrs_count(self) -> int:
@@ -109,8 +108,6 @@ class Topology:
             raise ValueError("cell radii and power budgets must be positive")
         if self.subcarrier_count < 1:
             raise ValueError("subcarrier_count must be >= 1")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be positive")
 
 
 def generate_topology(cfg: ScenarioConfig, seed: int) -> Topology:
@@ -127,7 +124,6 @@ def generate_topology(cfg: ScenarioConfig, seed: int) -> Topology:
         cell_radii_m=np.full(b, cfg.cell_radius_m, dtype=np.float64),
         p_max_w=np.full(b, cfg.p_max_w, dtype=np.float64),
         subcarrier_count=cfg.subcarriers,
-        bandwidth_hz=cfg.bandwidth_hz,
     )
     topo.validate()
     return topo
@@ -288,6 +284,8 @@ def step_traffic(
     get fresh increasing ids and spawn in their home cell (no
     re-association afterwards). With max_users > 0, arrivals beyond the
     capacity are blocked. (0, 0) rates return the population unchanged.
+    The result meets UserSet.validate by construction and is not
+    re-checked here, as this runs every slot.
     """
     if arrival_rate < 0 or not (0.0 <= departure_prob <= 1.0):
         raise ValueError("invalid traffic rates")
@@ -302,12 +300,10 @@ def step_traffic(
     ids = np.concatenate([users.ids[keep], new_ids])
     positions = np.vstack([users.positions[keep], new_positions])
     serving = np.concatenate([users.serving[keep], new_serving]).astype(np.int64)
-    out = UserSet(
+    return UserSet(
         ids=ids.astype(np.int64),
         positions=positions,
         serving=serving,
         rrs_members=_partition(topology, serving),
         next_id=users.next_id + n_arrivals,
     )
-    out.validate(topology)
-    return out

@@ -124,7 +124,6 @@ def test_granted_allocations_match_loop_oracle(b, k, n_users, pad, ties, seed):
         cell_radii_m=np.full(b, 100.0),
         p_max_w=rng.uniform(0.5, 20.0, size=b),
         subcarrier_count=k,
-        bandwidth_hz=1.0,
     )
     users = UserSet(
         ids=np.arange(n_users, dtype=np.int64),
@@ -258,7 +257,6 @@ def test_equal_power_hand_case():
         cell_radii_m=np.array([100.0]),
         p_max_w=np.array([8.0]),
         subcarrier_count=4,
-        bandwidth_hz=1.0,
     )
     users = UserSet(
         ids=np.arange(2, dtype=np.int64),
@@ -284,7 +282,6 @@ def test_equal_power_single_pair_full_budget():
         cell_radii_m=np.array([100.0]),
         p_max_w=np.array([5.0]),
         subcarrier_count=1,
-        bandwidth_hz=1.0,
     )
     users = UserSet(
         ids=np.zeros(1, dtype=np.int64),
@@ -398,7 +395,6 @@ def _single_site_toy():
         cell_radii_m=np.array([100.0]),
         p_max_w=np.array([1.0]),
         subcarrier_count=1,
-        bandwidth_hz=1.0,
     )
     users = UserSet(
         ids=np.arange(2, dtype=np.int64),
@@ -446,7 +442,6 @@ def _two_site_toy():
         cell_radii_m=np.array([100.0, 100.0]),
         p_max_w=np.array([1.0, 1.0]),
         subcarrier_count=1,
-        bandwidth_hz=1.0,
     )
     users = UserSet(
         ids=np.arange(4, dtype=np.int64),

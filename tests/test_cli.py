@@ -156,13 +156,22 @@ def test_figure_failed_cell_exits_2(tmp_path, monkeypatch, capsys):
     from smartran.engine import SweepCell
 
     def broken_sweep(*args, **kwargs):
-        return [SweepCell("smart", "sac", 2, 0, None, error="Traceback: boom")]
+        return [
+            SweepCell("smart", "sac", 2, 0, None, error="Traceback: first boom"),
+            SweepCell("smart", "sac", 4, 0, object()),
+            SweepCell("smart", "dqn", 6, 1, None, error="Traceback: second boom"),
+        ]
 
     monkeypatch.setattr(cli, "run_sweep", broken_sweep)
     rc = cli.main(["figure", "--preset", "toc", "--seeds", "1", "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "1 sweep cell(s) failed" in err and "boom" in err
+    # every failed cell is reported, not only the first
+    assert "2 sweep cell(s) failed" in err
+    assert "scheme=smart learner=sac users=2 seed=0\nTraceback: first boom" in err
+    assert "scheme=smart learner=dqn users=6 seed=1\nTraceback: second boom" in err
+    assert "users=4" not in err
+    assert not list(tmp_path.iterdir())  # no partial tables
 
 
 def test_validate_subcommand_passes(capsys):

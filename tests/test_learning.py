@@ -1,6 +1,4 @@
-"""Network forward/backward, Adam, polyak, replay, and snapshots."""
-
-import json
+"""Network forward/backward, Adam, polyak and replay."""
 
 import numpy as np
 import pytest
@@ -14,15 +12,12 @@ from smartran.learning import (
     adam_init,
     adam_step,
     apply_gradients,
-    load_agent,
-    make_dqn_agent,
     make_sac_agent,
     mlp_forward,
     mlp_forward_cached,
     mlp_gradient,
     mlp_init,
     polyak_update,
-    save_agent,
 )
 
 
@@ -61,7 +56,7 @@ def test_gradient_rejects_stale_cache():
     rng = np.random.default_rng(2)
     net = mlp_init((2, 4, 1), rng)
     _, cache = mlp_forward_cached(net, np.ones(2))
-    opt = adam_init([net.flat], lr=1e-3)
+    opt = adam_init(net.flat, lr=1e-3)
     grads, _ = mlp_gradient(net, np.ones(1), cache, params="flat")
     apply_gradients(net, opt, grads)
     with pytest.raises(ValueError, match="stale cache"):
@@ -103,35 +98,38 @@ def test_mlp_init_validation():
 
 
 def test_adam_first_step_known_value():
-    p = [np.zeros(1)]
+    p = np.zeros(1)
     opt = adam_init(p, lr=0.1)
-    adam_step(opt, p, [np.ones(1)])
+    adam_step(opt, p, np.ones(1))
     # bias-corrected first step: -lr * 1 / (1 + eps)
-    assert p[0][0] == pytest.approx(-0.1 / (1.0 + 1e-8), rel=1e-12)
+    assert p[0] == pytest.approx(-0.1 / (1.0 + 1e-8), rel=1e-12)
     assert opt.step == 1
 
 
 def test_adam_rejects_nonfinite_gradients():
-    p = [np.zeros(2)]
+    p = np.zeros(2)
     opt = adam_init(p, lr=0.1)
     with pytest.raises(ValueError, match="non-finite"):
-        adam_step(opt, p, [np.array([1.0, np.nan])])
+        adam_step(opt, p, np.array([1.0, np.nan]))
     with pytest.raises(ValueError, match="non-finite"):
-        adam_step(opt, p, [np.array([np.inf, 0.0])])
-    assert np.all(p[0] == 0.0)  # params untouched on rejection
+        adam_step(opt, p, np.array([np.inf, 0.0]))
+    assert np.all(p == 0.0)  # params untouched on rejection
 
 
 def test_adam_shape_mismatch():
-    p = [np.zeros(2)]
+    p = np.zeros(2)
     opt = adam_init(p, lr=0.1)
-    with pytest.raises(ValueError):
-        adam_step(opt, p, [np.zeros(2), np.zeros(2)])
+    with pytest.raises(ValueError, match="do not match"):
+        adam_step(opt, p, np.zeros(3))
+    with pytest.raises(ValueError, match="do not match"):
+        adam_step(opt, np.zeros(3), np.zeros(3))
+    assert opt.step == 0 and np.all(p == 0.0)
 
 
 def test_apply_gradients_bumps_version():
     rng = np.random.default_rng(5)
     net = mlp_init((2, 3, 1), rng)
-    opt = adam_init([net.flat], lr=1e-3)
+    opt = adam_init(net.flat, lr=1e-3)
     v0 = net.version
     apply_gradients(net, opt, np.zeros_like(net.flat))
     assert net.version == v0 + 1
@@ -241,50 +239,3 @@ def test_replay_rejects_shape_drift():
 def test_replay_rejects_empty_capacity():
     with pytest.raises(ValueError):
         ReplayBuffer(0)
-
-
-def test_snapshot_roundtrip_sac(tmp_path):
-    rng = np.random.default_rng(8)
-    agent = make_sac_agent(3, 2, rng, hidden_sizes=(8,))
-    agent.log_alpha[0] = -1.25
-    path = str(tmp_path / "agent.json")
-    save_agent(agent, path)
-    other = make_sac_agent(3, 2, np.random.default_rng(99), hidden_sizes=(8,))
-    assert not np.allclose(other.actor.weights[0], agent.actor.weights[0])
-    load_agent(path, other)
-    for name in ("actor", "critic1", "critic2", "target1", "target2"):
-        for w1, w2 in zip(getattr(other, name).weights, getattr(agent, name).weights):
-            assert np.array_equal(w1, w2)
-    assert other.log_alpha[0] == agent.log_alpha[0]
-
-
-def test_snapshot_roundtrip_sac_without_targets(tmp_path):
-    agent = make_sac_agent(3, 2, np.random.default_rng(12), hidden_sizes=(8,), gamma=0.0)
-    agent.log_alpha[0] = -0.75
-    path = str(tmp_path / "bandit.json")
-    save_agent(agent, path)
-    with open(path, encoding="utf-8") as fh:
-        assert sorted(json.load(fh)["nets"]) == ["actor", "critic1", "critic2"]
-    other = make_sac_agent(3, 2, np.random.default_rng(13), hidden_sizes=(8,), gamma=0.0)
-    load_agent(path, other)
-    for name in ("actor", "critic1", "critic2"):
-        assert np.array_equal(getattr(other, name).flat, getattr(agent, name).flat)
-    assert other.target1 is None and other.log_alpha[0] == agent.log_alpha[0]
-    discounting = make_sac_agent(3, 2, np.random.default_rng(14), hidden_sizes=(8,))
-    before = discounting.actor.flat.copy()
-    with pytest.raises(ValueError, match="target1, target2"):
-        load_agent(path, discounting)
-    assert np.array_equal(discounting.actor.flat, before)
-
-
-def test_snapshot_rejects_kind_and_size_mismatch(tmp_path):
-    rng = np.random.default_rng(9)
-    sac = make_sac_agent(3, 2, rng, hidden_sizes=(8,))
-    path = str(tmp_path / "agent.json")
-    save_agent(sac, path)
-    dqn = make_dqn_agent(3, 2, np.random.default_rng(10), hidden_sizes=(8,))
-    with pytest.raises(ValueError, match="SacAgent"):
-        load_agent(path, dqn)
-    small = make_sac_agent(3, 2, np.random.default_rng(11), hidden_sizes=(4,))
-    with pytest.raises(ValueError, match="sizes"):
-        load_agent(path, small)

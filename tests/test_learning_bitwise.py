@@ -88,7 +88,7 @@ def test_arena_adam_matches_per_layer_adam(sizes, steps, block, seed):
     rng = np.random.default_rng(seed)
     net = mlp_init(sizes, rng)
     ref = oracles.SeedNet(net)
-    opt = adam_init([net.flat], lr=1e-2)
+    opt = adam_init(net.flat, lr=1e-2)
     ref_opt = oracles.SeedAdam(ref.params(), lr=1e-2)
     for _ in range(steps):
         layer_grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-3, 3) for p in ref.params()]
@@ -97,7 +97,7 @@ def test_arena_adam_matches_per_layer_adam(sizes, steps, block, seed):
         oracles.seed_adam_step(ref_opt, ref.params(), layer_grads)
     assert opt.step == ref_opt.step == steps
     assert np.array_equal(net.flat, ref.flat())
-    for got, want in ((opt.m[0], ref_opt.m), (opt.v[0], ref_opt.v)):
+    for got, want in ((opt.m, ref_opt.m), (opt.v, ref_opt.v)):
         assert np.array_equal(got, np.concatenate([w.ravel() for w in want]))
 
 
@@ -110,24 +110,24 @@ def test_arena_adam_matches_per_layer_adam(sizes, steps, block, seed):
 def test_adam_rejects_one_nonfinite_entry_anywhere_in_an_arena(sizes, bad, seed):
     rng = np.random.default_rng(seed)
     net = mlp_init(sizes, rng)
-    opt = adam_init([net.flat], lr=1e-2)
+    opt = adam_init(net.flat, lr=1e-2)
     apply_gradients(net, opt, rng.standard_normal(net.flat.size))
-    before = (net.flat.copy(), opt.m[0].copy(), opt.v[0].copy(), opt.step, net.version)
+    before = (net.flat.copy(), opt.m.copy(), opt.v.copy(), opt.step, net.version)
     grad = rng.standard_normal(net.flat.size)
     grad[int(rng.integers(0, grad.size))] = bad
     with pytest.raises(ValueError, match="non-finite"):
         apply_gradients(net, opt, grad)
     assert np.array_equal(net.flat, before[0])
-    assert np.array_equal(opt.m[0], before[1]) and np.array_equal(opt.v[0], before[2])
+    assert np.array_equal(opt.m, before[1]) and np.array_equal(opt.v, before[2])
     assert (opt.step, net.version) == before[3:]
 
 
 def test_adam_accepts_finite_gradients_whose_sum_overflows():
-    p = [np.zeros(2)]
+    p = np.zeros(2)
     opt = adam_init(p, lr=0.1)
     with np.errstate(over="ignore"):  # g * g overflows, as it always did
-        adam_step(opt, p, [np.array([1e308, 1e308])])
-    assert opt.step == 1 and np.all(np.isfinite(p[0]))
+        adam_step(opt, p, np.array([1e308, 1e308]))
+    assert opt.step == 1 and np.all(np.isfinite(p))
 
 
 def _batch(rng, n, state_dim, action_dim, dones):
@@ -178,11 +178,11 @@ def test_sac_update_matches_reference_bit_for_bit(
     for name in ("actor_opt", "critic1_opt", "critic2_opt"):
         got, want = getattr(agent, name), getattr(ref, name)
         assert got.step == want.step
-        assert np.array_equal(got.m[0], np.concatenate([m.ravel() for m in want.m]))
-        assert np.array_equal(got.v[0], np.concatenate([v.ravel() for v in want.v]))
+        assert np.array_equal(got.m, np.concatenate([m.ravel() for m in want.m]))
+        assert np.array_equal(got.v, np.concatenate([v.ravel() for v in want.v]))
     assert np.array_equal(agent.log_alpha, ref.log_alpha)
-    assert np.array_equal(agent.alpha_opt.m[0], ref.alpha_opt.m[0])
-    assert np.array_equal(agent.alpha_opt.v[0], ref.alpha_opt.v[0])
+    assert np.array_equal(agent.alpha_opt.m, ref.alpha_opt.m[0])
+    assert np.array_equal(agent.alpha_opt.v, ref.alpha_opt.v[0])
     assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
 
 
@@ -283,8 +283,8 @@ def test_agents_sharing_one_work_match_fresh_work_and_reference(
                 assert np.array_equal(getattr(s, name).flat, getattr(f, name).flat)
         for name in ("actor_opt", "critic1_opt", "critic2_opt", "alpha_opt"):
             for moments in ("m", "v"):
-                got = getattr(getattr(s, name), moments)[0]
-                assert np.array_equal(got, getattr(getattr(f, name), moments)[0])
+                got = getattr(getattr(s, name), moments)
+                assert np.array_equal(got, getattr(getattr(f, name), moments))
                 want = getattr(getattr(r, name), moments)
                 assert np.array_equal(got, np.concatenate([w.ravel() for w in want]))
         assert np.array_equal(s.log_alpha, f.log_alpha) and np.array_equal(s.log_alpha, r.log_alpha)

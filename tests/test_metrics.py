@@ -165,7 +165,6 @@ def test_planning_interference_excludes_own_site_and_empty_sites():
         cell_radii_m=np.array([60.0, 60.0]),
         p_max_w=np.array([10.0, 10.0]),
         subcarrier_count=4,
-        bandwidth_hz=1.0,
     )
     users = UserSet(
         ids=np.arange(2, dtype=np.int64),
@@ -254,7 +253,6 @@ def _grant_case(n_rrs, n_users, n_sub, grants, leak, seed):
         cell_radii_m=np.full(n_rrs, 50.0),
         p_max_w=rng.uniform(1.0, 10.0, n_rrs),
         subcarrier_count=n_sub,
-        bandwidth_hz=1.0,
     )
     users = UserSet(
         ids=np.arange(n_users, dtype=np.int64),

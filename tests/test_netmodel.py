@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smartran.config import ScenarioConfig
 from smartran.netmodel import (
@@ -174,6 +176,44 @@ def test_step_traffic_blocking_respects_capacity():
         users = step_traffic(topo, users, 10.0, 0.1, seed=8, slot=slot, max_users=6)
         assert users.n_users <= 6
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    rrs_count=st.integers(1, 4),
+    n_users=st.integers(0, 8),
+    slots=st.integers(1, 8),
+    arrival_rate=st.sampled_from([0.0, 0.5, 2.0, 6.0]),
+    departure_prob=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    max_users=st.integers(0, 10),
+)
+def test_step_traffic_chain_keeps_population_invariants(
+    seed, rrs_count, n_users, slots, arrival_rate, departure_prob, max_users
+):
+    # step_traffic does not validate its output; this chain holds it to
+    # UserSet.validate and to the birth-death rules at every slot
+    topo = generate_topology(ScenarioConfig(rrs_count=rrs_count), seed=seed)
+    if max_users > 0:
+        n_users = min(n_users, max_users)
+    users = spawn_users(topo, n_users, seed=seed)
+    for slot in range(slots):
+        out = step_traffic(
+            topo, users, arrival_rate, departure_prob, seed=seed, slot=slot, max_users=max_users
+        )
+        out.validate(topo)
+        for b, rows in enumerate(out.rrs_members):  # each site's rows, ascending
+            assert np.array_equal(rows, np.flatnonzero(out.serving == b))
+        old = out.ids < users.next_id
+        rows = np.searchsorted(users.ids, out.ids[old])
+        assert np.array_equal(users.ids[rows], out.ids[old])  # survivors existed
+        assert np.array_equal(out.positions[old], users.positions[rows])
+        assert np.array_equal(out.serving[old], users.serving[rows])
+        arrivals = out.ids[~old]
+        assert np.array_equal(arrivals, np.arange(users.next_id, out.next_id))
+        if max_users > 0:
+            assert out.n_users <= max_users
+        users = out
 
 def test_step_traffic_rejects_bad_rates():
     cfg = ScenarioConfig(rrs_count=2, n_users=2)
