@@ -1,11 +1,12 @@
 """Mode decision: the SDN agent that picks centralized vs distributed.
 
 Every slot the engine computes both modes' rate, overhead, and
-complexity and logs them in a SlotRecord. A bounded FIFO of the last D
-records, plus the current per-site user counts, forms the controller
-state; a soft actor-critic agent with a single scalar action picks the
-mode (action >= 0 means centralized, so a zero action ties toward the
-pooled mode). The reward is the executed mode's TOC.
+complexity and logs them in a SlotRecord. The controller's memory is a
+deque of the last D records; their features plus the newest record's
+per-site user counts form the state. A soft actor-critic agent with a
+single scalar action picks the mode (action >= 0 means centralized, so
+a zero action ties toward the pooled mode). The reward is the executed
+mode's TOC, SlotRecord.toc_executed.
 
 Record features are normalized by running mean/variance statistics that
 freeze after a warm-up period, so the state distribution stops drifting
@@ -15,12 +16,12 @@ once learning is underway.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .learning import SacAgent, SacLosses, SacWork, sac_select_action, sac_update
-from .metrics import Mode, TocWeights, toc_centralized, toc_distributed
+from .metrics import Mode
 
 
 @dataclass
@@ -57,7 +58,7 @@ class SlotRecord:
     toc_cnt: float
     toc_dst: float
     executed: Mode
-    user_counts: tuple[int, ...] = ()
+    user_counts: tuple[int, ...]
 
     @property
     def max_tau_dst(self) -> int:
@@ -123,53 +124,33 @@ class RunningNorm:
         return (x - self.mean) / np.maximum(self.std, 1e-6)
 
 
-@dataclass
-class SdnMemory:
-    """FIFO of the last `depth` slot records plus a traffic summary."""
-
-    depth: int
-    records: deque = field(default_factory=deque)
-    user_counts: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        self.records = deque(self.records, maxlen=self.depth)
-
-    def push(self, record: SlotRecord) -> None:
-        self.records.append(record)
-        if record.user_counts:
-            self.user_counts = record.user_counts
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
 def build_sdn_state(
-    memory: SdnMemory,
+    records: deque,
     rrs_count: int,
     max_users: int,
     norm: RunningNorm | None = None,
 ) -> np.ndarray:
-    """Flatten the memory into the agent's state vector.
+    """Flatten the controller's memory into the agent's state vector.
 
-    Layout: depth blocks of the six record features, oldest first,
-    zero-padded at the front while the memory is filling, followed by
-    the per-site user counts scaled by the capacity. Length is always
-    6 * depth + rrs_count.
+    records is a deque bounded at the memory depth D. Layout: D blocks
+    of the six record features, oldest first, zero-padded at the front
+    while the memory is filling, followed by the newest record's
+    per-site user counts scaled by the capacity (zeros while empty).
+    Length is always 6 * D + rrs_count.
     """
-    state = np.zeros(N_RECORD_FEATURES * memory.depth + rrs_count)
-    offset = memory.depth - len(memory.records)
-    for i, record in enumerate(memory.records):
+    depth = records.maxlen
+    state = np.zeros(N_RECORD_FEATURES * depth + rrs_count)
+    offset = depth - len(records)
+    for i, record in enumerate(records):
         feats = record_features(record)
         if norm is not None:
             feats = norm.apply(feats)
         j = (offset + i) * N_RECORD_FEATURES
         state[j : j + N_RECORD_FEATURES] = feats
-    counts = memory.user_counts or (0,) * rrs_count
+    counts = records[-1].user_counts if records else (0,) * rrs_count
     if len(counts) != rrs_count:
         raise ValueError("user count summary does not match the site count")
-    state[N_RECORD_FEATURES * memory.depth :] = np.asarray(counts) / max(max_users, 1)
+    state[N_RECORD_FEATURES * depth :] = np.asarray(counts) / max(max_users, 1)
     return state
 
 
@@ -178,11 +159,6 @@ def decide_mode(agent: SacAgent, state: np.ndarray, rng, deterministic: bool = F
     action = sac_select_action(agent, state, rng, deterministic=deterministic)
     x_cnt = 1 if action[0] >= 0.0 else 0
     return ModeDecision(x_cnt=x_cnt, x_dst=1 - x_cnt), action
-
-
-def sdn_reward(record: SlotRecord) -> float:
-    """The executed mode's TOC, unscaled."""
-    return record.toc_executed
 
 
 class SdnController:
@@ -203,18 +179,19 @@ class SdnController:
         norm_warmup: int = 50,
         batch_size: int = 64,
     ):
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
         if reward_scale <= 0:
             raise ValueError("reward_scale must be positive")
         self.agent = agent
         self.rrs_count = rrs_count
         self.max_users = max_users
-        self.memory = SdnMemory(depth=depth)
+        self.memory: deque[SlotRecord] = deque(maxlen=depth)
         self.norm = RunningNorm(N_RECORD_FEATURES)
         self.reward_scale = reward_scale
         self.norm_warmup = norm_warmup
         self.batch_size = batch_size
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
-        self._records_seen = 0
         self._work: SacWork | None = None  # built at the first update
 
     def build_state(self) -> np.ndarray:
@@ -230,14 +207,13 @@ class SdnController:
         """Log the slot, emit the pending transition, return the raw
         reward. learn=False (evaluation) freezes the normalizer and
         discards the pending transition instead of storing it."""
-        reward = sdn_reward(record)
+        reward = record.toc_executed
         if not learn:
             self.norm.frozen = True
         self.norm.update(record_features(record))
-        self._records_seen += 1
-        if self._records_seen >= self.norm_warmup:
+        if self.norm.count >= self.norm_warmup:
             self.norm.frozen = True
-        self.memory.push(record)
+        self.memory.append(record)
         if self._pending is not None and learn:
             state, action = self._pending
             self.agent.buffer.push(
@@ -254,28 +230,3 @@ class SdnController:
             self._work = SacWork(self.agent, self.batch_size)
         batch = self.agent.buffer.sample(self.batch_size, rng, out=self._work.batch)
         return sac_update(self.agent, batch, rng, self._work)
-
-
-def expected_toc_fields(record: SlotRecord, weights: TocWeights) -> tuple[float, float]:
-    """Recompute both TOC values from the record's raw fields."""
-    cnt = toc_centralized(record.r_cnt, record.tau_cnt, record.gamma_cnt, weights)
-    dst = toc_distributed(
-        record.r_dst, record.tau_dst_per_rrs, record.gamma_dst_per_rrs, weights
-    )
-    return cnt, dst
-
-
-def toc_roundtrip_errors(records, weights: TocWeights, rtol: float = 1e-9) -> list[str]:
-    """Check every record's stored TOC against a recomputation from its
-    raw rate/overhead/complexity fields. Returns human-readable
-    mismatch descriptions (empty means consistent)."""
-    errors = []
-    for record in records:
-        cnt, dst = expected_toc_fields(record, weights)
-        for name, stored, expect in (("toc_cnt", record.toc_cnt, cnt), ("toc_dst", record.toc_dst, dst)):
-            tol = rtol * max(1.0, abs(expect))
-            if abs(stored - expect) > tol:
-                errors.append(
-                    f"slot {record.slot}: {name} stored {stored!r} != recomputed {expect!r}"
-                )
-    return errors

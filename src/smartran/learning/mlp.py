@@ -137,7 +137,6 @@ class MlpCache:
     squeezed: bool  # original input was 1-D
     buffers: MlpBuffers  # holds preacts and the hidden inputs
     stamp: int  # buffers.stamp right after this cache's forward
-    batch: int = field(default=0)
 
 
 def _act(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -199,7 +198,6 @@ def mlp_forward_cached(net: Mlp, x, out: MlpBuffers | None = None) -> tuple[np.n
         squeezed=squeezed,
         buffers=out,
         stamp=out.stamp,
-        batch=a.shape[0],
     )
     return (a[0] if squeezed else a), cache
 
@@ -244,7 +242,7 @@ def mlp_gradient(
     g = np.asarray(grad_output, dtype=np.float64)
     if cache.squeezed and g.ndim == 1:
         g = g[None, :]
-    if g.shape != (cache.batch, net.output_size):
+    if g.shape != (cache.inputs[0].shape[0], net.output_size):
         raise ValueError(
             f"grad_output shape {np.asarray(grad_output).shape} does not match output"
         )

@@ -7,10 +7,11 @@ seed. Each user has a home cell (its id modulo the site count, so
 populations stay balanced as they grow) and is dropped uniformly inside
 that cell's disc, which it is served by for its whole lifetime.
 
-Channel gains factor as h = h_large * h_small, where h_large is a
-power-law path gain c * d^(-eta) and h_small is a unit-mean exponential
-(the squared magnitude of a Rayleigh fade), drawn independently per
-(site, user, subcarrier) and per slot.
+Channel gains factor as h = h_large * fading, where h_large is a
+power-law path gain c * d^(-eta) and the fading is a unit-mean
+exponential (the squared magnitude of a Rayleigh fade), drawn
+independently per (site, user, subcarrier) and per slot. A
+ChannelTensor keeps h_large and h; the fading is not stored.
 
 All randomness is keyed by (seed, stream, slot) substreams, so channel
 realizations for a given slot do not depend on how many draws any other
@@ -87,7 +88,7 @@ class Topology:
 
     area_radius_m: float
     positions: np.ndarray  # (B, 2)
-    cell_radii_m: np.ndarray  # (B,)
+    cell_radius_m: float
     p_max_w: np.ndarray  # (B,)
     subcarrier_count: int
 
@@ -104,8 +105,8 @@ class Topology:
         radial = np.linalg.norm(self.positions, axis=1)
         if np.any(radial > self.area_radius_m + 1e-9):
             raise ValueError("RRS positions must lie inside the service area")
-        if np.any(self.cell_radii_m <= 0) or np.any(self.p_max_w <= 0):
-            raise ValueError("cell radii and power budgets must be positive")
+        if self.cell_radius_m <= 0 or np.any(self.p_max_w <= 0):
+            raise ValueError("cell radius and power budgets must be positive")
         if self.subcarrier_count < 1:
             raise ValueError("subcarrier_count must be >= 1")
 
@@ -121,7 +122,7 @@ def generate_topology(cfg: ScenarioConfig, seed: int) -> Topology:
     topo = Topology(
         area_radius_m=cfg.area_radius_m,
         positions=positions,
-        cell_radii_m=np.full(b, cfg.cell_radius_m, dtype=np.float64),
+        cell_radius_m=cfg.cell_radius_m,
         p_max_w=np.full(b, cfg.p_max_w, dtype=np.float64),
         subcarrier_count=cfg.subcarriers,
     )
@@ -159,14 +160,16 @@ class UserSet:
             raise ValueError("user ids must be strictly increasing")
         if u and (self.serving.min() < 0 or self.serving.max() >= topology.rrs_count):
             raise ValueError("serving indices out of range")
-        seen = np.concatenate(self.rrs_members) if self.rrs_members else np.empty(0, int)
-        if len(seen) != u or (u and not np.array_equal(np.sort(seen), np.arange(u))):
-            raise ValueError("rrs_members must partition the user rows")
+        if len(self.rrs_members) != topology.rrs_count or not all(
+            np.array_equal(m, np.flatnonzero(self.serving == b))
+            for b, m in enumerate(self.rrs_members)
+        ):
+            raise ValueError("rrs_members must partition the rows by serving site, ascending")
         if u:
             serve_d = np.linalg.norm(
                 self.positions - topology.positions[self.serving], axis=1
             )
-            if np.any(serve_d > topology.cell_radii_m[self.serving] + 1e-9):
+            if np.any(serve_d > topology.cell_radius_m + 1e-9):
                 raise ValueError("users must lie inside their serving cell's disc")
 
 
@@ -186,9 +189,7 @@ def _place_in_cells(
     and the placement of user i never depends on how many users follow.
     """
     serving = (ids % topology.rrs_count).astype(np.int64)
-    offsets = _uniform_disc(rng, len(ids), float(np.min(topology.cell_radii_m)))
-    radii = topology.cell_radii_m[serving][:, None] / float(np.min(topology.cell_radii_m))
-    positions = topology.positions[serving] + offsets * radii
+    positions = topology.positions[serving] + _uniform_disc(rng, len(ids), topology.cell_radius_m)
     return positions, serving
 
 
@@ -224,20 +225,10 @@ def spawn_users(
 
 @dataclass
 class ChannelTensor:
-    """One slot of channel state: h = h_large * h_small elementwise."""
+    """One slot of channel state: path gains h_large, faded gains h."""
 
     h_large: np.ndarray  # (B, U)
-    h_small: np.ndarray  # (B, U, K)
     h: np.ndarray  # (B, U, K)
-
-    def validate(self) -> None:
-        b, u = self.h_large.shape
-        if self.h_small.shape[:2] != (b, u) or self.h.shape != self.h_small.shape:
-            raise ValueError("inconsistent channel tensor shapes")
-        if np.any(self.h_large <= 0) or np.any(self.h_small <= 0):
-            raise ValueError("channel gains must be strictly positive")
-        if not np.allclose(self.h, self.h_large[:, :, None] * self.h_small):
-            raise ValueError("h must equal h_large * h_small")
 
 
 def sample_channels(
@@ -258,15 +249,15 @@ def sample_channels(
     rng = streams.substream(seed, streams.CHANNELS, slot)
     b, u, k = topology.rrs_count, users.n_users, topology.subcarrier_count
     if u == 0:
-        empty = np.empty((b, 0, k))
-        return ChannelTensor(h_large=np.empty((b, 0)), h_small=empty, h=empty.copy())
+        return ChannelTensor(h_large=np.empty((b, 0)), h=np.empty((b, 0, k)))
     d = np.linalg.norm(topology.positions[:, None, :] - users.positions[None, :, :], axis=2)
     h_large = model.gain(d)
     # unit-mean exponential = |Rayleigh|^2 fading power; floor away the
     # measure-zero exact-zero draw so gains stay strictly positive
     draw = max(u, draw_capacity)
-    h_small = np.maximum(rng.exponential(1.0, size=(b, draw, k))[:, :u, :], 1e-300)
-    return ChannelTensor(h_large=h_large, h_small=h_small, h=h_large[:, :, None] * h_small)
+    h = np.maximum(rng.exponential(1.0, size=(b, draw, k))[:, :u, :], 1e-300)
+    h *= h_large[:, :, None]
+    return ChannelTensor(h_large=h_large, h=h)
 
 
 def step_traffic(

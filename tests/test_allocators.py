@@ -121,7 +121,7 @@ def test_granted_allocations_match_loop_oracle(b, k, n_users, pad, ties, seed):
     topo = Topology(
         area_radius_m=100.0,
         positions=np.zeros((b, 2)),
-        cell_radii_m=np.full(b, 100.0),
+        cell_radius_m=100.0,
         p_max_w=rng.uniform(0.5, 20.0, size=b),
         subcarrier_count=k,
     )
@@ -193,9 +193,7 @@ def test_observation_rejects_overflow(tiny_net):
 
 def _manual_channels(h_large, k):
     h_small = np.ones((*h_large.shape, k))
-    return ChannelTensor(
-        h_large=h_large, h_small=h_small, h=h_large[:, :, None] * h_small
-    )
+    return ChannelTensor(h_large=h_large, h=h_large[:, :, None] * h_small)
 
 
 def test_distributed_observation_ignores_other_cells_fading():
@@ -209,16 +207,12 @@ def test_distributed_observation_ignores_other_cells_fading():
     base = sample_channels(topo, users, model, seed=1, slot=0)
     noise = cfg.noise_power_w
 
-    perturbed_small = base.h_small.copy()
+    perturbed_h = base.h.copy()
     rows_b1 = users.rrs_members[1]
-    perturbed_small[:, rows_b1, :] *= 7.0  # fade site 1's users everywhere
-    perturbed_small[1, :, :] *= 3.0  # and everything site 1 measures
-    perturbed_small[0, users.rrs_members[0], :] = base.h_small[0, users.rrs_members[0], :]
-    perturbed = ChannelTensor(
-        h_large=base.h_large,
-        h_small=perturbed_small,
-        h=base.h_large[:, :, None] * perturbed_small,
-    )
+    perturbed_h[:, rows_b1, :] *= 7.0  # fade site 1's users everywhere
+    perturbed_h[1, :, :] *= 3.0  # and everything site 1 measures
+    perturbed_h[0, users.rrs_members[0], :] = base.h[0, users.rrs_members[0], :]
+    perturbed = ChannelTensor(h_large=base.h_large, h=perturbed_h)
     obs_a = build_distributed_observations(base, users, topo, noise, 6)[0]
     obs_b = build_distributed_observations(perturbed, users, topo, noise, 6)[0]
     assert np.array_equal(obs_a, obs_b)
@@ -254,7 +248,7 @@ def test_equal_power_hand_case():
     topo = Topology(
         area_radius_m=100.0,
         positions=np.zeros((1, 2)),
-        cell_radii_m=np.array([100.0]),
+        cell_radius_m=100.0,
         p_max_w=np.array([8.0]),
         subcarrier_count=4,
     )
@@ -279,7 +273,7 @@ def test_equal_power_single_pair_full_budget():
     topo = Topology(
         area_radius_m=100.0,
         positions=np.zeros((1, 2)),
-        cell_radii_m=np.array([100.0]),
+        cell_radius_m=100.0,
         p_max_w=np.array([5.0]),
         subcarrier_count=1,
     )
@@ -392,7 +386,7 @@ def _single_site_toy():
     topo = Topology(
         area_radius_m=100.0,
         positions=np.zeros((1, 2)),
-        cell_radii_m=np.array([100.0]),
+        cell_radius_m=100.0,
         p_max_w=np.array([1.0]),
         subcarrier_count=1,
     )
@@ -439,7 +433,7 @@ def _two_site_toy():
     topo = Topology(
         area_radius_m=1000.0,
         positions=np.array([[-500.0, 0.0], [500.0, 0.0]]),
-        cell_radii_m=np.array([100.0, 100.0]),
+        cell_radius_m=100.0,
         p_max_w=np.array([1.0, 1.0]),
         subcarrier_count=1,
     )

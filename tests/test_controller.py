@@ -1,6 +1,8 @@
 """Mode decisions, slot records, memory/state assembly, and the
 switching controller's learning plumbing."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,10 @@ from smartran.controller import (
     ModeDecision,
     RunningNorm,
     SdnController,
-    SdnMemory,
     SlotRecord,
     build_sdn_state,
     decide_mode,
-    expected_toc_fields,
     record_features,
-    sdn_reward,
-    toc_roundtrip_errors,
 )
 from smartran.learning import make_sac_agent
 from smartran.metrics import Mode, TocWeights, toc_centralized, toc_distributed
@@ -67,43 +65,41 @@ def test_record_features_order():
     )
 
 
-def test_sdn_reward_is_executed_toc():
-    rec = _record(executed=Mode.DST)
-    assert sdn_reward(rec) == rec.toc_dst
-
-
 def test_memory_fifo_and_traffic_summary():
-    mem = SdnMemory(depth=2)
-    mem.push(_record(slot=0, counts=(1, 1)))
-    mem.push(_record(slot=1, counts=(2, 3)))
-    mem.push(_record(slot=2, counts=()))  # no summary: keeps the last one
-    assert len(mem) == 2
-    assert [r.slot for r in mem.records] == [1, 2]
-    assert mem.user_counts == (2, 3)
-    with pytest.raises(ValueError):
-        SdnMemory(depth=0)
+    ctrl = _controller(depth=2)
+    state = ctrl.build_state()
+    assert np.all(state == 0.0)  # empty memory: no features, zero counts
+    for slot, counts in enumerate(((1, 1), (2, 3), (4, 0))):
+        ctrl.record_slot(_record(slot=slot, counts=counts))
+    assert [r.slot for r in ctrl.memory] == [1, 2]
+    state = ctrl.build_state()
+    assert np.array_equal(state[12:], [4 / 8, 0 / 8])  # the newest record's counts
+    agent = make_sac_agent(26, 1, np.random.default_rng(7), hidden_sizes=(8,))
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="depth"):
+            SdnController(agent, 2, depth, max_users=8)
 
 
 def test_build_state_layout_and_padding():
-    mem = SdnMemory(depth=3)
-    mem.push(_record(slot=0, counts=(4, 6)))
+    mem = deque(maxlen=3)
+    mem.append(_record(slot=0, counts=(4, 6)))
     state = build_sdn_state(mem, rrs_count=2, max_users=12)
     assert state.shape == (6 * 3 + 2,)
     # one record: two leading zero blocks, then its features
     assert np.all(state[:12] == 0.0)
-    assert np.array_equal(state[12:18], record_features(mem.records[0]))
+    assert np.array_equal(state[12:18], record_features(mem[0]))
     assert np.array_equal(state[18:], [4 / 12, 6 / 12])
     # oldest first once full
-    mem.push(_record(slot=1))
-    mem.push(_record(slot=2))
-    mem.push(_record(slot=3))
+    for slot in (1, 2, 3):
+        mem.append(_record(slot=slot))
     state = build_sdn_state(mem, rrs_count=2, max_users=12)
-    assert [r.slot for r in mem.records] == [1, 2, 3]
+    assert [r.slot for r in mem] == [1, 2, 3]
+    for i, record in enumerate(mem):
+        assert np.array_equal(state[6 * i : 6 * i + 6], record_features(record))
 
 
 def test_build_state_rejects_count_mismatch():
-    mem = SdnMemory(depth=2)
-    mem.push(_record(counts=(1, 2, 3)))
+    mem = deque([_record(counts=(1, 2, 3))], maxlen=2)
     with pytest.raises(ValueError, match="site count"):
         build_sdn_state(mem, rrs_count=2, max_users=8)
 
@@ -194,15 +190,3 @@ def test_controller_rejects_bad_reward_scale():
     agent = make_sac_agent(26, 1, np.random.default_rng(7), hidden_sizes=(8,))
     with pytest.raises(ValueError):
         SdnController(agent, 2, 4, max_users=8, reward_scale=0.0)
-
-
-def test_toc_roundtrip_detects_corruption():
-    w = TocWeights(alpha=1e-6, beta=1e-3)
-    records = [_record(slot=i) for i in range(5)]
-    assert toc_roundtrip_errors(records, w) == []
-    cnt, dst = expected_toc_fields(records[2], w)
-    assert records[2].toc_cnt == pytest.approx(cnt)
-    assert records[2].toc_dst == pytest.approx(dst)
-    records[2].toc_cnt += 1e-3
-    errors = toc_roundtrip_errors(records, w)
-    assert len(errors) == 1 and "slot 2" in errors[0] and "toc_cnt" in errors[0]

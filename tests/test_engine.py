@@ -7,10 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from smartran import engine
+from smartran import allocators, engine
 from smartran.cli import make_preset
 from smartran.config import ConfigError, ScenarioConfig
-from smartran.controller import toc_roundtrip_errors
 from smartran.engine import (
     Aggregates,
     aggregate_records,
@@ -18,7 +17,7 @@ from smartran.engine import (
     run_episode,
     run_sweep,
 )
-from smartran.metrics import Mode, TocWeights
+from smartran.metrics import Mode, TocWeights, toc_centralized, toc_distributed
 
 
 def _cfg(**overrides):
@@ -60,7 +59,11 @@ def test_records_cover_every_slot_and_roundtrip():
     assert [r.slot for r in result.records] == list(range(cfg.total_slots))
     assert result.eval_start == cfg.train_slots
     weights = TocWeights(alpha=cfg.toc_alpha, beta=cfg.toc_beta)
-    assert toc_roundtrip_errors(result.records, weights) == []
+    for r in result.records:
+        assert r.toc_cnt == toc_centralized(r.r_cnt, r.tau_cnt, r.gamma_cnt, weights)
+        assert r.toc_dst == toc_distributed(
+            r.r_dst, r.tau_dst_per_rrs, r.gamma_dst_per_rrs, weights
+        )
     for slot, x_cnt, *_ in decision_trace(result):
         assert x_cnt in (0, 1)
     # both hypothetical outcomes are recorded every slot
@@ -259,3 +262,21 @@ def test_learned_path_records_are_pinned():
         if cfg.scheme == "smart":
             assert {r.executed for r in result.records} == {Mode.CNT, Mode.DST}
         assert _records_sha256(result.records) == digest
+
+
+@pytest.mark.parametrize("learner, update", [("dqn", "dqn_update"), ("ddpg", "ddpg_update")])
+def test_dqn_and_ddpg_episodes_train_and_repeat(monkeypatch, learner, update):
+    real = getattr(allocators, update)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(allocators, update, counted)
+    for scheme in ("smart", "fixed-distributed"):
+        cfg = _cfg(scheme=scheme, learner=learner, batch_size=4, train_slots=12, eval_slots=4)
+        before = len(calls)
+        first, second = run_episode(cfg), run_episode(cfg)
+        assert len(calls) > before
+        assert _records_sha256(first.records) == _records_sha256(second.records)

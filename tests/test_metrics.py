@@ -32,9 +32,7 @@ def _random_case(rng, n_rrs=3, n_users=5, n_sub=4):
     """Random channels plus a feasible random allocation."""
     h_large = rng.uniform(0.1, 2.0, size=(n_rrs, n_users))
     h_small = rng.exponential(1.0, size=(n_rrs, n_users, n_sub)) + 1e-6
-    channels = ChannelTensor(
-        h_large=h_large, h_small=h_small, h=h_large[:, :, None] * h_small
-    )
+    channels = ChannelTensor(h_large=h_large, h=h_large[:, :, None] * h_small)
     p = np.zeros((n_rrs, n_users, n_sub))
     rho = np.zeros((n_rrs, n_users, n_sub), dtype=np.int8)
     for b in range(n_rrs):
@@ -156,13 +154,11 @@ def test_planning_interference_excludes_own_site_and_empty_sites():
     # anything (own site excluded, empty foreign site contributes zero)
     h_large = np.array([[1.0, 1.0], [5.0, 5.0]])
     h_small = np.ones((2, 2, 4))
-    channels = ChannelTensor(
-        h_large=h_large, h_small=h_small, h=h_large[:, :, None] * h_small
-    )
+    channels = ChannelTensor(h_large=h_large, h=h_large[:, :, None] * h_small)
     topo = Topology(
         area_radius_m=100.0,
         positions=np.array([[-50.0, 0.0], [50.0, 0.0]]),
-        cell_radii_m=np.array([60.0, 60.0]),
+        cell_radius_m=60.0,
         p_max_w=np.array([10.0, 10.0]),
         subcarrier_count=4,
     )
@@ -246,11 +242,11 @@ def _grant_case(n_rrs, n_users, n_sub, grants, leak, seed):
     p = rng.uniform(0.0, 2.0, shape) * (rho if not leak else 1.0)
     h_large = 10.0 ** rng.uniform(-6.0, 2.0, (n_rrs, n_users))
     h_small = rng.exponential(1.0, shape) + 1e-9
-    channels = ChannelTensor(h_large=h_large, h_small=h_small, h=h_large[:, :, None] * h_small)
+    channels = ChannelTensor(h_large=h_large, h=h_large[:, :, None] * h_small)
     topo = Topology(
         area_radius_m=100.0,
         positions=np.zeros((n_rrs, 2)),
-        cell_radii_m=np.full(n_rrs, 50.0),
+        cell_radius_m=50.0,
         p_max_w=rng.uniform(1.0, 10.0, n_rrs),
         subcarrier_count=n_sub,
     )
