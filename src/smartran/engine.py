@@ -12,6 +12,13 @@ Fixed schemes pin the executed mode but still log both modes' metrics,
 so a single run yields both curves. The equal-power baseline replaces
 the learned allocators with the round-robin equal-power rule.
 
+An episode runs numpy's OpenBLAS on one thread and restores the
+caller's count when it ends, so its bits do not depend on the BLAS
+thread environment. The learners share no state, so while the site
+agents learn on the calling thread, the pool agent pushes its
+transition and takes its step on one helper thread; the slot waits for
+both before it ends.
+
 run_sweep runs the cross product of schemes x learners x user counts x
 seeds, optionally across processes; a failing cell records its error
 string instead of poisoning the rest.
@@ -19,6 +26,7 @@ string instead of poisoning the rest.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import traceback
 from contextlib import contextmanager
@@ -111,8 +119,59 @@ def aggregate_records(records: list[SlotRecord], eval_start: int) -> Aggregates:
     )
 
 
+def _openblas_thread_count():
+    """(get, set) for the thread count of the OpenBLAS bundled with
+    numpy (numpy.libs/libscipy_openblas64_*), or None when there is no
+    such library or it lacks the symbols."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        name = min(n for n in os.listdir(libs) if n.startswith("libscipy_openblas64_"))
+        lib = ctypes.CDLL(os.path.join(libs, name))  # numpy loaded it: same handle
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, ValueError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def _one_blas_thread():
+    """OpenBLAS runs on one thread inside the block and at the caller's
+    count after it. At the learners' shapes a second BLAS thread buys
+    nothing, and it can sum a product in another order, which changes
+    learned bits. Does nothing on a numpy whose BLAS lacks the symbols."""
+    blas = _openblas_thread_count()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
+def _learn(agent, obs, act, reward, rng, batch_size, work):
+    """Push one bandit transition and take one update; returns the work."""
+    agent.buffer.push(obs, act, reward, obs, True)
+    return update_allocator(agent, rng, batch_size, work)
+
+
 def run_episode(config: ScenarioConfig, seed: int | None = None) -> RunResult:
-    """Run one scenario to completion and aggregate its eval window."""
+    """Run one scenario to completion and aggregate its eval window, on
+    one BLAS thread and with one helper thread for the pool agent's
+    learning (see the module docstring)."""
+    # imported here, its only use, so that importing the engine stays cheap
+    from concurrent.futures import ThreadPoolExecutor
+
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as helper:
+        return _episode(config, seed, helper)
+
+
+def _episode(config: ScenarioConfig, seed: int | None, helper) -> RunResult:
     config.validate()
     cfg = config if seed is None else replace(config, seed=seed)
     env_seed = cfg.seed
@@ -257,20 +316,21 @@ def run_episode(config: ScenarioConfig, seed: int | None = None) -> RunResult:
             if training:
                 controller.update(rng_sdn)
 
-        # --- allocator learning (spectral-scale rewards, bandit style)
+        # --- allocator learning (spectral-scale rewards, bandit style):
+        # the pool agent on the helper thread, the sites on this one
         if learned and training and n_users > 0:
-            cnt_agent.buffer.push(obs_cnt, act_cnt, rate_cnt_se, obs_cnt, True)
-            cnt_work = update_allocator(cnt_agent, rng_cnt, cfg.batch_size, cnt_work)
+            cnt_step = helper.submit(
+                _learn, cnt_agent, obs_cnt, act_cnt, rate_cnt_se, rng_cnt, cfg.batch_size, cnt_work
+            )
             per_site_rate = dst_matrix.sum(axis=(1, 2))
             for site in range(b):
                 if act_dst[site] is None:
                     continue
-                dst_agents[site].buffer.push(
-                    obs_dst[site], act_dst[site], float(per_site_rate[site]), obs_dst[site], True
+                dst_work = _learn(
+                    dst_agents[site], obs_dst[site], act_dst[site], float(per_site_rate[site]),
+                    rng_dst[site], cfg.batch_size, dst_work,
                 )
-                dst_work = update_allocator(
-                    dst_agents[site], rng_dst[site], cfg.batch_size, dst_work
-                )
+            cnt_work = cnt_step.result()
 
     eval_start = cfg.train_slots if cfg.eval_slots > 0 else 0
     return RunResult(
@@ -314,28 +374,6 @@ def _run_cell(payload) -> SweepCell:
         return SweepCell(scheme, learner, n_users, seed, None, error=traceback.format_exc(limit=3))
 
 
-# BLAS thread-count variables that sweep workers default to 1
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-@contextmanager
-def _single_blas_thread_env():
-    """Processes started inside the block run one BLAS thread each,
-    unless the user already set either variable, in which case both are
-    left alone; the environment is restored on exit. Workers that each
-    ran BLAS at the machine's full thread count would oversubscribe the
-    cores the pool already fills."""
-    user_set = any(name in os.environ for name in _BLAS_THREAD_VARS)
-    added = [] if user_set else list(_BLAS_THREAD_VARS)
-    for name in added:
-        os.environ[name] = "1"
-    try:
-        yield
-    finally:
-        for name in added:
-            os.environ.pop(name, None)
-
-
 def run_sweep(
     config: ScenarioConfig,
     user_counts,
@@ -351,9 +389,8 @@ def run_sweep(
     per_count, if given, maps a user count to extra config overrides
     (e.g. traffic rates or network capacity that should scale with the
     sweep variable). Overrides are materialized up front so payloads
-    stay picklable. Workers are spawned, not forked, so each loads BLAS
-    afresh with the single-thread setting; as with any spawned pool, a
-    script that calls this with workers > 1 must do so under an
+    stay picklable. Workers are spawned, not forked; as with any spawned
+    pool, a script that calls this with workers > 1 must do so under an
     ``if __name__ == "__main__":`` guard."""
     payloads = [
         (scheme, learner, int(n), int(seed), config, dict(per_count(int(n))) if per_count else {})
@@ -368,7 +405,7 @@ def run_sweep(
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with _single_blas_thread_env(), ProcessPoolExecutor(
+    with ProcessPoolExecutor(
         max_workers=workers, mp_context=multiprocessing.get_context("spawn")
     ) as pool:
         return list(pool.map(_run_cell, payloads))

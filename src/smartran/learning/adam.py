@@ -5,16 +5,18 @@ A learner keeps one optimizer per network, built on its arena vector
 in-place ufuncs on flat first and second moments. The array is stepped
 as a flat view, in blocks of _BLOCK entries, so each block's
 parameters, gradient, moments and scratch stay in cache across the
-dozen ufunc passes of a step. The two _BLOCK-entry scratch vectors are
-built at the first step and shared by every later step and by
-mlp.polyak_update, in this process; they carry nothing from one call to
-the next, and the package runs no two updates at once. The per-element
-arithmetic is the textbook one, in the textbook order, for any block
-size.
+dozen ufunc passes of a step. Each thread builds its two _BLOCK-entry
+scratch vectors at its first step and reuses them in every later step
+and in mlp.polyak_update on that thread; they carry nothing from one
+call to the next, so learners that update on different threads at once
+(the engine's pool agent and its site agents) never share a block. The
+per-element arithmetic is the textbook one, in the textbook order, for
+any block size.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,15 +27,16 @@ import numpy as np
 # adam_step on such an arena there
 _BLOCK = 32_768
 
-_scratch: tuple[np.ndarray, np.ndarray] | None = None
+_local = threading.local()
 
 
 def block_scratch() -> tuple[np.ndarray, np.ndarray]:
-    """Two scratch vectors of at least _BLOCK entries, built once."""
-    global _scratch
-    if _scratch is None or _scratch[0].size < _BLOCK:
-        _scratch = (np.empty(_BLOCK), np.empty(_BLOCK))
-    return _scratch
+    """The calling thread's two scratch vectors of at least _BLOCK
+    entries, built once per thread."""
+    scratch = getattr(_local, "scratch", None)
+    if scratch is None or scratch[0].size < _BLOCK:
+        scratch = _local.scratch = (np.empty(_BLOCK), np.empty(_BLOCK))
+    return scratch
 
 
 @dataclass

@@ -273,7 +273,7 @@ def mlp_gradient(
 def polyak_update(target: Mlp, online: Mlp, rho: float) -> None:
     """Blend the online net into the target in place:
     target <- rho * online + (1 - rho) * target, over the arenas in
-    blocks of adam._BLOCK entries on Adam's shared scratch. rho = 1
+    blocks of adam._BLOCK entries on the thread's Adam scratch. rho = 1
     copies."""
     if not (0.0 <= rho <= 1.0):
         raise ValueError("rho must be in [0, 1]")

@@ -2,7 +2,12 @@
 
 import hashlib
 import os
+import pickle
+import subprocess
+import sys
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,28 +192,6 @@ def test_run_sweep_smart_cells_match_across_worker_counts():
     assert [c.aggregates for c in serial] == [c.aggregates for c in parallel]
 
 
-def test_sweep_workers_default_to_one_blas_thread(monkeypatch):
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    with engine._single_blas_thread_env():
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-        assert os.environ["OMP_NUM_THREADS"] == "1"
-    assert "OPENBLAS_NUM_THREADS" not in os.environ
-    assert "OMP_NUM_THREADS" not in os.environ
-
-
-def test_sweep_workers_keep_a_user_blas_thread_count(monkeypatch):
-    # OpenBLAS reads OPENBLAS_NUM_THREADS before OMP_NUM_THREADS, so
-    # setting the first would override a user's OMP_NUM_THREADS
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    with engine._single_blas_thread_env():
-        assert "OPENBLAS_NUM_THREADS" not in os.environ
-        assert os.environ["OMP_NUM_THREADS"] == "3"
-    assert "OPENBLAS_NUM_THREADS" not in os.environ
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-
-
 def _records_sha256(records) -> str:
     h = hashlib.sha256()
     for r in records:
@@ -262,6 +245,72 @@ def test_learned_path_records_are_pinned():
         if cfg.scheme == "smart":
             assert {r.executed for r in result.records} == {Mode.CNT, Mode.DST}
         assert _records_sha256(result.records) == digest
+
+
+# the rate preset's 24-user smart cell at agent seed 1; run in a child
+# interpreter, it writes its pickled records to stdout
+_RATE_CELL_24 = """
+import pickle, sys
+from dataclasses import replace
+from smartran.cli import make_preset
+from smartran.engine import run_episode
+preset = make_preset("rate")
+cfg = replace(preset.base, scheme="smart", n_users=24, agent_seed=1, **preset.per_count(24))
+sys.stdout.buffer.write(pickle.dumps(run_episode(cfg).records))
+"""
+
+
+def test_records_do_not_depend_on_the_blas_thread_environment():
+    # at this cell's per-site shape (208 inputs, 416 outputs) OpenBLAS
+    # sums some products in another order at two threads than at one;
+    # records taken at its default thread count differed from
+    # OPENBLAS_NUM_THREADS=1 until episodes ran on one BLAS thread
+    src = str(Path(engine.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SMARTRAN_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("OMP_NUM_THREADS", None)
+    digests = [
+        _records_sha256(pickle.loads(subprocess.run(
+            [sys.executable, "-c", _RATE_CELL_24],
+            env={**env, "OPENBLAS_NUM_THREADS": threads},
+            stdout=subprocess.PIPE, timeout=120, check=True,
+        ).stdout))
+        for threads in ("1", "2")
+    ]
+    assert digests[0] == digests[1]
+
+
+def test_pool_update_error_propagates_and_leaves_no_thread(monkeypatch):
+    # the pool agent learns on a helper thread: its error must surface
+    # from run_episode, the helper must be joined, and the caller's BLAS
+    # thread count must come back after a raise and after a return
+    cfg = _cfg(scheme="smart")
+    pool_dim = 2 * cfg.rrs_count * cfg.effective_max_users * cfg.subcarriers
+    real = allocators.sac_update
+
+    def failing(agent, *args, **kwargs):
+        if agent.action_dim == pool_dim:
+            raise RuntimeError("pool update failed")
+        return real(agent, *args, **kwargs)
+
+    blas = engine._openblas_thread_count()
+    if blas is not None:
+        get, set_ = blas
+        caller = get()
+        set_(2)
+    threads = threading.active_count()
+    try:
+        run_episode(cfg)
+        assert threading.active_count() == threads
+        assert blas is None or get() == 2
+        monkeypatch.setattr(allocators, "sac_update", failing)
+        with pytest.raises(RuntimeError, match="pool update failed"):
+            run_episode(cfg)
+        assert threading.active_count() == threads
+        assert blas is None or get() == 2
+    finally:
+        if blas is not None:
+            set_(caller)
 
 
 @pytest.mark.parametrize("learner, update", [("dqn", "dqn_update"), ("ddpg", "ddpg_update")])

@@ -6,6 +6,8 @@ operation of the per-layer code, in the same order, so every comparison
 here is exact.
 """
 
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -336,3 +338,63 @@ def test_blockwise_polyak_matches_reference_at_any_block_edge(sizes, rho, block,
         polyak_update(target, online, rho)
     oracles.seed_polyak(ref, oracles.SeedNet(online), rho)
     assert np.array_equal(target.flat, ref.flat())
+
+
+def _arena_learner(seed: int, steps: int):
+    """Arenas past two blocks and the gradients for `steps` Adam steps and
+    Polyak blends: (run, result), where run() steps them on the calling
+    thread and result() copies out the parameters, moments and target."""
+    rng = np.random.default_rng(seed)
+    sizes = (2 * adam._BLOCK + 3, 1)  # 2 * _BLOCK + 4 parameters
+    online, target = mlp_init(sizes, rng), mlp_init(sizes, rng)
+    opt = adam_init(online.flat, lr=1e-3)
+    grads = [rng.standard_normal(online.flat.size) for _ in range(steps)]
+
+    def run():
+        for g in grads:
+            apply_gradients(online, opt, g)
+            polyak_update(target, online, 0.005)
+
+    def result():
+        return [online.flat.copy(), opt.m.copy(), opt.v.copy(), target.flat.copy()]
+
+    return run, result
+
+
+def test_adam_and_polyak_on_concurrent_threads_match_sequential_bits():
+    # learners on different threads step at once (the engine's pool and
+    # site agents); each thread's block scratch keeps their blocks apart.
+    # More threads than cores, switching as often as the interpreter can.
+    threads, steps = 4, 6
+    sequential = []
+    for seed in range(threads):
+        run, result = _arena_learner(seed, steps)
+        run()
+        sequential.append(result())
+
+    learners = [_arena_learner(seed, steps) for seed in range(threads)]
+    start = threading.Barrier(threads)
+    errors = []
+
+    def work(run):
+        try:
+            start.wait(timeout=10)
+            run()
+        except Exception as exc:  # reported below, in the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(run,)) for run, _ in learners]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert errors == []
+    for (_, result), want in zip(learners, sequential):
+        for got, ref in zip(result(), want):
+            assert np.array_equal(got, ref)

@@ -1,14 +1,17 @@
 """Every function under src/smartran is entered by some entry point.
 
-Runs the CLI's documented commands on tiny inputs under sys.setprofile,
-then lists the ``def``s in the package that were never entered. Code
-that no entry point reaches is either dead or only exercised by its own
+Runs the CLI's documented commands on tiny inputs under a profiler, on
+the calling thread (sys.setprofile) and on every thread started meanwhile
+(threading.setprofile), such as the engine's learning helper, then lists
+the ``def``s in the package that were never entered. Code that no entry
+point reaches is either dead or only exercised by its own
 tests; each survivor named below says why it stays.
 """
 
 import ast
 import os
 import sys
+import threading
 from pathlib import Path
 
 from smartran import cli
@@ -19,7 +22,6 @@ PACKAGE = Path(cli.__file__).resolve().parent
 # defs no entry point enters, and why each stays
 UNREACHED = {
     "config.serialize_config",  # the run manifest's config hash (ROADMAP item 3)
-    "engine._single_blas_thread_env",  # only the pooled sweep (--workers > 1) runs it
     "metrics.Allocation.validate",  # the tests' grant oracle
     "metrics.Mode.__str__",  # perfbench's record checks read str(record.executed)
 }
@@ -80,12 +82,14 @@ def test_every_def_is_reached_from_an_entry_point(tmp_path, capsys, monkeypatch)
         if event == "call":
             entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
-    previous = sys.getprofile()
+    previous, previous_threads = sys.getprofile(), threading.getprofile()
     sys.setprofile(profile)
+    threading.setprofile(profile)
     try:
         codes = [cli.main(argv) for argv in commands]
     finally:
         sys.setprofile(previous)
+        threading.setprofile(previous_threads)
     capsys.readouterr()
     assert codes == [0] * len(commands)
 
