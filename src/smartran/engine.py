@@ -31,6 +31,7 @@ import os
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -225,6 +226,18 @@ def _episode(config: ScenarioConfig, seed: int | None, helper) -> RunResult:
             batch_size=cfg.batch_size,
         )
 
+    # overhead and complexity are functions of a user count alone within
+    # an episode: each is computed once per count seen
+    @cache
+    def site_cost(n_users_b: int) -> tuple[int, int]:
+        shape = distributed_shape(episodes, cfg.batch_size, cfg.hidden_sizes, n_users_b, k)
+        return overhead_distributed(budget, n_users_b, k), complexity_distributed(shape)
+
+    @cache
+    def pool_complexity(n_users: int) -> int:
+        shape = centralized_shape(episodes, cfg.batch_size, cfg.hidden_sizes, n_users, k, b)
+        return complexity_centralized(shape)
+
     # SAC update buffers, built at the first update: one for the pool
     # agent, one shared by the same-shape site agents
     cnt_work = dst_work = None
@@ -270,20 +283,10 @@ def _episode(config: ScenarioConfig, seed: int | None, helper) -> RunResult:
         r_cnt = rate_cnt_se * cfg.bandwidth_hz
         r_dst = rate_dst_se * cfg.bandwidth_hz
 
-        counts = users.user_counts()
-        tau_dst = tuple(
-            overhead_distributed(budget, int(counts[site]), k) for site in range(b)
-        )
+        counts = tuple(len(members) for members in users.rrs_members)
+        tau_dst, gamma_dst = zip(*(site_cost(n) for n in counts))
         tau_cnt = overhead_centralized(tau_dst)
-        gamma_dst = tuple(
-            complexity_distributed(
-                distributed_shape(episodes, cfg.batch_size, cfg.hidden_sizes, int(counts[site]), k)
-            )
-            for site in range(b)
-        )
-        gamma_cnt = complexity_centralized(
-            centralized_shape(episodes, cfg.batch_size, cfg.hidden_sizes, n_users, k, b)
-        )
+        gamma_cnt = pool_complexity(n_users)
         toc_cnt = toc_centralized(r_cnt, tau_cnt, gamma_cnt, weights)
         toc_dst = toc_distributed(r_dst, tau_dst, gamma_dst, weights)
 
@@ -307,7 +310,7 @@ def _episode(config: ScenarioConfig, seed: int | None, helper) -> RunResult:
             toc_cnt=toc_cnt,
             toc_dst=toc_dst,
             executed=decision.mode,
-            user_counts=tuple(int(c) for c in counts),
+            user_counts=counts,
         )
         records.append(record)
 

@@ -10,8 +10,10 @@ that cell's disc, which it is served by for its whole lifetime.
 Channel gains factor as h = h_large * fading, where h_large is a
 power-law path gain c * d^(-eta) and the fading is a unit-mean
 exponential (the squared magnitude of a Rayleigh fade), drawn
-independently per (site, user, subcarrier) and per slot. A
-ChannelTensor keeps h_large and h; the fading is not stored.
+independently per (site, user, subcarrier) and per slot with
+Generator.standard_exponential, which yields the same values as
+exponential(1.0) without its scaling pass. A ChannelTensor keeps
+h_large and h; the fading is not stored.
 
 All randomness is keyed by (seed, stream, slot) substreams, so channel
 realizations for a given slot do not depend on how many draws any other
@@ -252,10 +254,12 @@ def sample_channels(
         return ChannelTensor(h_large=np.empty((b, 0)), h=np.empty((b, 0, k)))
     d = np.linalg.norm(topology.positions[:, None, :] - users.positions[None, :, :], axis=2)
     h_large = model.gain(d)
-    # unit-mean exponential = |Rayleigh|^2 fading power; floor away the
-    # measure-zero exact-zero draw so gains stay strictly positive
+    # unit-mean exponential = |Rayleigh|^2 fading power. standard_exponential
+    # is exponential(1.0) without the scale pass: the same values, and it
+    # leaves the generator in the same state. Floor away the measure-zero
+    # exact-zero draw so gains stay strictly positive
     draw = max(u, draw_capacity)
-    h = np.maximum(rng.exponential(1.0, size=(b, draw, k))[:, :u, :], 1e-300)
+    h = np.maximum(rng.standard_exponential(size=(b, draw, k))[:, :u, :], 1e-300)
     h *= h_large[:, :, None]
     return ChannelTensor(h_large=h_large, h=h)
 

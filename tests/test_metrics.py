@@ -186,6 +186,23 @@ def test_planning_interference_excludes_own_site_and_empty_sites():
     assert vec[1] == pytest.approx(h_large[0, 1] * 10.0 / 4.0, rel=1e-12)
 
 
+def test_planning_interference_ignores_the_memory_order_of_h_large():
+    # from 8 sites up numpy sums an F-ordered (B, U) array over its sites
+    # pairwise and a C-ordered one row after another; the kernel must give
+    # the row-after-row sum for either layout
+    for n_rrs in range(8, 16):
+        channels, _, topo, users, _ = _grant_case(n_rrs, 3 * n_rrs, 2, "owner", False, n_rrs)
+        load = np.where(users.user_counts() > 0, topo.p_max_w / topo.subcarrier_count, 0.0)
+        per_site = channels.h_large * load[:, None]
+        total = per_site[0].copy()
+        for row in per_site[1:]:
+            total += row
+        want = total - per_site[users.serving, np.arange(users.n_users)]
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            ordered = ChannelTensor(h_large=layout(channels.h_large), h=channels.h)
+            assert np.array_equal(interference_vector_distributed(ordered, topo, users), want)
+
+
 def test_rate_distributed_matches_loop_oracle(tiny_net):
     topo, users, channels, _, noise = tiny_net
     rng = np.random.default_rng(5)
@@ -283,6 +300,25 @@ def test_grant_only_rates_equal_dense_reference_bitwise(case):
         rate_matrix_distributed(channels, alloc, topo, users, noise),
         oracles.dense_rate_matrix_distributed(h, p, rho, users.rrs_members, planning, noise),
     )
+
+
+@pytest.mark.parametrize("n_sub", [1, 2])
+def test_grant_only_centralized_rate_equals_dense_reference_on_crowded_cells(n_sub):
+    # nine to twelve users granted on every (site, subcarrier). numpy sums
+    # the dense spend over users pairwise at K = 1 (more than eight
+    # contiguous terms) and one user after another at K = 2; a kernel that
+    # summed the grants in their own order would miss the K = 1 bits
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        shape = (3, 12, n_sub)
+        rho = np.ones(shape, dtype=np.int8)
+        rho[:, 9:, :] = rng.random((3, 3, n_sub)) < 0.5
+        p = 10.0 ** rng.uniform(-3.0, 0.0, shape) * rho
+        h = rng.uniform(0.1, 2.0, shape)
+        channels = ChannelTensor(h_large=np.ones(shape[:2]), h=h)
+        assert rate_total_centralized(
+            channels, Allocation(p=p, rho=rho), 1e-3
+        ) == oracles.dense_rate_centralized(h, p, rho, 1e-3)
 
 
 # ---------------------------------------------------------------------------

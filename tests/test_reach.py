@@ -21,7 +21,7 @@ PACKAGE = Path(cli.__file__).resolve().parent
 
 # defs no entry point enters, and why each stays
 UNREACHED = {
-    "config.serialize_config",  # the run manifest's config hash (ROADMAP item 3)
+    "config.serialize_config",  # the run manifest's config hash (ROADMAP item 2)
     "metrics.Allocation.validate",  # the tests' grant oracle
     "metrics.Mode.__str__",  # perfbench's record checks read str(record.executed)
 }
